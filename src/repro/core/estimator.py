@@ -5,10 +5,11 @@ design and the spreadsheet is updated. ... This script calculates the
 power for each subcircuit hierarchically (through specified models or
 tools) using the parameters that are passed from the top level."
 
-:func:`evaluate_power` walks a :class:`~repro.core.design.Design`,
-resolves inter-row feeds (DC-DC load power, interconnect active area),
-recurses into sub-designs, and returns a :class:`PowerReport` tree that
-the report/web layers render as Figure 2 / Figure 5 style spreadsheets.
+:func:`evaluate_power` compiles a :class:`~repro.core.design.Design`
+into an evaluation plan (:mod:`repro.core.plan`: inter-row feeds such
+as DC-DC load power and interconnect active area, sub-designs, slot-bound
+model terms) and returns the :class:`PowerReport` tree that the
+report/web layers render as Figure 2 / Figure 5 style spreadsheets.
 
 Also here: the power-minimization analyses the paper motivates — "it is
 important to identify both the major power consumers and the point of
@@ -21,11 +22,11 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import DesignError, ModelError
 from ..obs import span
-from .design import Design, Instance, MacroPowerModel, Row, SubDesign
+from .design import Design
 from .parameters import ParameterScope, ParamValue
 
 
@@ -175,33 +176,8 @@ class TimingReport:
 
 
 # ---------------------------------------------------------------------------
-# Environment plumbing
+# Evaluation: every report comes from a freshly compiled plan
 # ---------------------------------------------------------------------------
-
-
-class _RowEnv(Mapping[str, float]):
-    """Instance scope + inter-model extras, presented as one mapping."""
-
-    def __init__(self, scope: ParameterScope, extras: Mapping[str, float]):
-        self._scope = scope
-        self._extras = dict(extras)
-
-    def __getitem__(self, name: str) -> float:
-        if name in self._extras:
-            return self._extras[name]
-        return self._scope[name]
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._extras or name in self._scope
-
-    def __iter__(self) -> Iterator[str]:
-        yield from self._extras
-        for name in self._scope:
-            if name not in self._extras:
-                yield name
-
-    def __len__(self) -> int:
-        return len(set(self._extras) | set(self._scope.names()))
 
 
 @contextlib.contextmanager
@@ -215,21 +191,29 @@ def scope_overrides(scope: ParameterScope, overrides: Mapping[str, ParamValue]):
     for name in overrides:
         had = name in scope.local_names()
         saved[name] = (had, scope.raw(name) if had else None)
+    applied: List[str] = []
     try:
         for name, value in overrides.items():
             scope.set(name, value)
+            applied.append(name)
         yield scope
     finally:
-        for name, (had, old) in saved.items():
+        # only what was assigned: a rejected value keeps its own error
+        for name in applied:
+            had, old = saved[name]
             if had:
                 scope._values[name] = old  # restore exact stored object
             else:
                 scope.unset(name)
 
 
-# ---------------------------------------------------------------------------
-# Power evaluation
-# ---------------------------------------------------------------------------
+def _evaluate(design: Design, overrides, build):
+    from .plan import Plan  # the plan builds these reports: import late
+
+    if overrides:
+        with scope_overrides(design.scope, overrides):
+            return build(Plan(design))
+    return build(Plan(design))
 
 
 def evaluate_power(
@@ -240,18 +224,15 @@ def evaluate_power(
 
     ``overrides`` are applied to the design's global scope for the
     duration of the evaluation (the top-page parameter edits of
-    Figure 5).
+    Figure 5).  The design is compiled into a fresh
+    :class:`~repro.core.plan.Plan` on every call.
 
     When tracing is enabled (:mod:`repro.obs`), the whole evaluation
     yields a span tree mirroring the design hierarchy, with row and
     leaf counts recorded on each design node's span.
     """
     with span("evaluate_power", design=design.name) as sp:
-        if overrides:
-            with scope_overrides(design.scope, overrides):
-                report = _evaluate_design(design)
-        else:
-            report = _evaluate_design(design)
+        report = _evaluate(design, overrides, lambda plan: plan.power_report())
         sp.set(
             rows=report.evaluated_rows,
             leaves=report.leaf_count,
@@ -260,156 +241,15 @@ def evaluate_power(
         return report
 
 
-def _evaluate_design(design: Design) -> PowerReport:
-    with span("design", name=design.name) as sp:
-        order = design.evaluation_order()
-        computed: Dict[str, PowerReport] = {}
-        for name in order:
-            row = design.row(name)
-            if isinstance(row, SubDesign):
-                report = _evaluate_design(row.design)
-                report.name = row.name
-                report.doc = report.doc or row.doc
-            else:
-                report = _evaluate_instance(row, computed)
-            computed[name] = report
-        children = [computed[name] for name in design.row_names()]
-        total = sum(node.power for node in children)
-        rows = len(children) + sum(child.evaluated_rows for child in children)
-        sp.set(rows=rows, watts=total)
-        return PowerReport(
-            name=design.name,
-            power=total,
-            kind="design",
-            doc=design.doc,
-            source="hierarchy",
-            parameters={
-                name: design.scope.resolve(name)
-                for name in design.scope.local_names()
-            },
-            children=children,
-            evaluated_rows=rows,
-        )
-
-
-def _feed_extras(
-    row: Row, computed: Mapping[str, PowerReport], area: Optional[Mapping[str, float]] = None
-) -> Dict[str, float]:
-    extras: Dict[str, float] = {}
-    if row.power_feeds:
-        load = 0.0
-        for feed in row.power_feeds:
-            report = computed[feed]
-            extras[f"P.{feed}"] = report.power
-            load += report.power
-        extras["P_load"] = load
-    if row.area_feeds:
-        total_area = 0.0
-        for feed in row.area_feeds:
-            feed_area = (area or {}).get(feed)
-            if feed_area is None:
-                feed_area = _row_area(row, feed, computed)
-            extras[f"A.{feed}"] = feed_area
-            total_area += feed_area
-        extras["active_area"] = total_area
-    return extras
-
-
-def _row_area(consumer: Row, feed: str, computed: Mapping[str, PowerReport]) -> float:
-    """Area of a feed row, needed by interconnect models during a power
-    pass.  Resolved lazily from the feed row's own area model."""
-    report = computed.get(feed)
-    if report is None:
-        raise DesignError(
-            f"row {consumer.name!r} area-feeds on unevaluated row {feed!r}"
-        )
-    return report.parameters.get("_area", 0.0)
-
-
-def _evaluate_instance(
-    row: Instance, computed: Mapping[str, PowerReport]
-) -> PowerReport:
-    with span("row", name=row.name, model=row.models.name) as sp:
-        report = _evaluate_instance_timed(row, computed)
-        sp.set(watts=report.power)
-        return report
-
-
-def _evaluate_instance_timed(
-    row: Instance, computed: Mapping[str, PowerReport]
-) -> PowerReport:
-    extras = _feed_extras(row, computed)
-    env = _RowEnv(row.scope, extras)
-    if row.measured_power is not None:
-        # back-annotated rows use the measurement, not the model
-        unit_power = row.measured_power
-        details = {"measured": row.measured_power}
-    else:
-        try:
-            unit_power = row.models.power.power(env)
-            details = row.models.power.breakdown(env)
-        except ModelError as exc:
-            raise ModelError(f"row {row.name!r}: {exc}") from exc
-    power = unit_power * row.quantity
-    if row.quantity != 1:
-        details = {key: value * row.quantity for key, value in details.items()}
-    parameters = {
-        name: row.scope.resolve(name) for name in row.scope.local_names()
-    }
-    if row.models.area is not None:
-        try:
-            parameters["_area"] = row.models.area.area(env) * row.quantity
-        except ModelError:
-            pass
-    return PowerReport(
-        name=row.name,
-        power=power,
-        kind="instance",
-        doc=row.doc,
-        quantity=row.quantity,
-        source=row.source,
-        parameters=parameters,
-        details=details,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Area / timing evaluation
-# ---------------------------------------------------------------------------
-
-
 def evaluate_area(
     design: Design,
     overrides: Optional[Mapping[str, ParamValue]] = None,
 ) -> AreaReport:
     """Hierarchically sum active area over rows that carry area models."""
     with span("evaluate_area", design=design.name) as sp:
-        if overrides:
-            with scope_overrides(design.scope, overrides):
-                report = _evaluate_area(design)
-        else:
-            report = _evaluate_area(design)
+        report = _evaluate(design, overrides, lambda plan: plan.area_report())
         sp.set(area_m2=report.area)
         return report
-
-
-def _evaluate_area(design: Design) -> AreaReport:
-    children: List[AreaReport] = []
-    for row in design:
-        if isinstance(row, SubDesign):
-            children.append(_evaluate_area(row.design))
-            children[-1].name = row.name
-            continue
-        model = row.models.area
-        if model is None:
-            children.append(AreaReport(row.name, 0.0, modeled=False))
-            continue
-        env = _RowEnv(row.scope, {})
-        children.append(
-            AreaReport(row.name, model.area(env) * row.quantity, modeled=True)
-        )
-    total = sum(node.area for node in children)
-    return AreaReport(design.name, total, modeled=True, children=children)
 
 
 def evaluate_timing(
@@ -418,32 +258,9 @@ def evaluate_timing(
 ) -> TimingReport:
     """Critical-path delay: the max over modeled rows, hierarchically."""
     with span("evaluate_timing", design=design.name) as sp:
-        if overrides:
-            with scope_overrides(design.scope, overrides):
-                report = _evaluate_timing(design)
-        else:
-            report = _evaluate_timing(design)
+        report = _evaluate(design, overrides, lambda plan: plan.timing_report())
         sp.set(delay_s=report.delay)
         return report
-
-
-def _evaluate_timing(design: Design) -> TimingReport:
-    children: List[TimingReport] = []
-    for row in design:
-        if isinstance(row, SubDesign):
-            child = _evaluate_timing(row.design)
-            child.name = row.name
-            children.append(child)
-            continue
-        model = row.models.timing
-        if model is None:
-            children.append(TimingReport(row.name, 0.0, modeled=False))
-            continue
-        env = _RowEnv(row.scope, {})
-        children.append(TimingReport(row.name, model.delay(env), modeled=True))
-    modeled = [node.delay for node in children if node.modeled]
-    critical = max(modeled) if modeled else 0.0
-    return TimingReport(design.name, critical, modeled=bool(modeled), children=children)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ information").  Evaluating those with :func:`eval` would hand the server
 to any browser, so this module implements a small, safe expression
 language:
 
-* tokenizer + recursive-descent parser producing an immutable AST;
-* an evaluator over a name environment (plain ``dict`` or any mapping);
+* tokenizer + operator-precedence parser producing an immutable AST
+  (an explicit stack, no recursion, with length and depth limits);
+* :func:`compile_node`, which turns a tree into nested closures — the
+  one evaluator, shared by :meth:`Expression.evaluate` (names read
+  from a mapping) and the evaluation plan (names bound to slots);
 * :func:`variables` — static dependency extraction, which is what the
   spreadsheet engine uses to build its recalculation graph;
 * a curated set of math functions and constants.
@@ -36,6 +39,7 @@ forms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -144,37 +148,52 @@ def _read_number(source: str, i: int) -> Tuple[int, Token]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    """Structural ``==`` and ``hash`` over an explicit stack: the
+    generated dataclass methods recurse once per tree level."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _flat(self) == _flat(other)
+
+    def __hash__(self):
+        return hash(tuple(_flat(self)))
+
+
+@dataclass(frozen=True, eq=False)
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Name:
+@dataclass(frozen=True, eq=False)
+class Name(_Node):
     identifier: str
 
 
-@dataclass(frozen=True)
-class Unary:
+@dataclass(frozen=True, eq=False)
+class Unary(_Node):
     op: str
     operand: "Node"
 
 
-@dataclass(frozen=True)
-class Binary:
+@dataclass(frozen=True, eq=False)
+class Binary(_Node):
     op: str
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False)
+class Call(_Node):
     function: str
     args: Tuple["Node", ...]
 
 
-@dataclass(frozen=True)
-class Ternary:
+@dataclass(frozen=True, eq=False)
+class Ternary(_Node):
     condition: "Node"
     if_true: "Node"
     if_false: "Node"
@@ -183,165 +202,271 @@ class Ternary:
 Node = Union[Num, Name, Unary, Binary, Call, Ternary]
 
 
+def _children(node) -> tuple:
+    kind = type(node)
+    if kind is Binary:
+        return (node.left, node.right)
+    if kind is Unary:
+        return (node.operand,)
+    if kind is Call:
+        return tuple(node.args)
+    if kind is Ternary:
+        return (node.condition, node.if_true, node.if_false)
+    return ()
+
+
+def _scalar(node):
+    kind = type(node)
+    if kind is Num:
+        return node.value
+    if kind is Name:
+        return node.identifier
+    if kind is Call:
+        return node.function
+    return getattr(node, "op", None)
+
+
+def _flat(node) -> List[tuple]:
+    """The tree as pre-order ``(type, field, arity)`` triples."""
+    out, pending = [], [node]
+    while pending:
+        node = pending.pop()
+        kids = _children(node)
+        out.append((type(node), _scalar(node), len(kids)))
+        pending.extend(reversed(kids))
+    return out
+
+
 # --------------------------------------------------------------------------
 # Parser
 # --------------------------------------------------------------------------
 
+#: Longest accepted source text, in characters.  The web server caps a
+#: request body at 1 MiB, so no longer formula ever reached a PLAY; the
+#: cap bounds what session files and library payloads can carry.
+MAX_LENGTH = 1 << 20
+
+#: Deepest accepted nesting, in evaluation levels (see :func:`depth`).
+#: Chains at one precedence level (``a + b + c``, ``- - a``) count once,
+#: parentheses count nothing, so every formula a PLAY evaluated when
+#: the parser was recursive (88 nested parentheses, 486 nested
+#: ternaries, a 493-long ``^`` chain) fits, and evaluation stays well
+#: inside Python's default recursion limit of 1000.
+MAX_DEPTH = 500
+
+#: binding powers: a larger number binds tighter
+_INFIX = {
+    "+": 6, "-": 6, "*": 7, "/": 7, "%": 7, "^": 8,
+    "<": 5, "<=": 5, ">": 5, ">=": 5, "==": 5, "!=": 5,
+}
+_WORDS = {"or": 2, "and": 3}
+_COMPARISON = 5
+_NEGATE = (9, "-", True)
+_NOT = (4, "not", True)
+_PAREN = ("(",)
+
+
+def _reduce(entry, out: List[Node]) -> None:
+    """Pop an operator entry's operands from ``out``, push its node."""
+    _bp, op, unary = entry
+    if unary:
+        out.append(Unary(op, out.pop()))
+    else:
+        right = out.pop()
+        out[-1] = Binary(op, out[-1], right)
+
 
 class _Parser:
+    """Operator-precedence parser over an explicit stack.
+
+    Builds exactly the tree of the grammar in the module docstring,
+    with the same error messages, but never recurses: nesting depth is
+    limited by :data:`MAX_DEPTH`, not by the Python stack.
+    """
+
     def __init__(self, source: str):
         self.source = source
         self.tokens = tokenize(source)
-        self.index = 0
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect(self, text: str) -> Token:
-        token = self.current
-        if token.kind != "op" or token.text != text:
-            raise ParseError(
-                f"expected {text!r}, found {token.text or 'end of input'!r}",
-                self.source,
-                token.position,
-            )
-        return self.advance()
-
-    def match(self, *texts: str) -> Optional[Token]:
-        token = self.current
-        if token.kind == "op" and token.text in texts:
-            return self.advance()
-        return None
-
-    def match_name(self, *names: str) -> Optional[Token]:
-        token = self.current
-        if token.kind == "name" and token.text in names:
-            return self.advance()
-        return None
-
-    # grammar rules -------------------------------------------------------
-
-    def parse(self) -> Node:
-        node = self.expr()
-        token = self.current
-        if token.kind != "end":
-            raise ParseError(
-                f"trailing input {token.text!r}", self.source, token.position
-            )
-        return node
-
-    def expr(self) -> Node:
-        return self.ternary()
-
-    def ternary(self) -> Node:
-        condition = self.or_expr()
-        if self.match("?"):
-            if_true = self.expr()
-            self.expect(":")
-            if_false = self.expr()
-            return Ternary(condition, if_true, if_false)
-        return condition
-
-    def or_expr(self) -> Node:
-        node = self.and_expr()
-        while self.match_name("or"):
-            node = Binary("or", node, self.and_expr())
-        return node
-
-    def and_expr(self) -> Node:
-        node = self.not_expr()
-        while self.match_name("and"):
-            node = Binary("and", node, self.not_expr())
-        return node
-
-    def not_expr(self) -> Node:
-        if self.match_name("not"):
-            return Unary("not", self.not_expr())
-        return self.comparison()
-
-    def comparison(self) -> Node:
-        node = self.additive()
-        token = self.match("<", "<=", ">", ">=", "==", "!=")
-        if token:
-            node = Binary(token.text, node, self.additive())
-        return node
-
-    def additive(self) -> Node:
-        node = self.term()
-        while True:
-            token = self.match("+", "-")
-            if not token:
-                return node
-            node = Binary(token.text, node, self.term())
-
-    def term(self) -> Node:
-        node = self.power()
-        while True:
-            token = self.match("*", "/", "%")
-            if not token:
-                return node
-            node = Binary(token.text, node, self.power())
-
-    def power(self) -> Node:
-        node = self.unary()
-        if self.match("^"):
-            return Binary("^", node, self.power())  # right-assoc
-        return node
-
-    def unary(self) -> Node:
-        token = self.match("-", "+")
-        if token:
-            operand = self.unary()
-            if token.text == "+":
-                return operand
-            return Unary("-", operand)
-        return self.atom()
-
-    def atom(self) -> Node:
-        token = self.current
-        if token.kind == "num":
-            self.advance()
-            return Num(token.value)
-        if token.kind == "name":
-            self.advance()
-            if self.match("("):
-                args: List[Node] = []
-                if not (self.current.kind == "op" and self.current.text == ")"):
-                    args.append(self.expr())
-                    while self.match(","):
-                        args.append(self.expr())
-                self.expect(")")
-                return Call(token.text, tuple(args))
-            return Name(token.text)
-        if token.kind == "op" and token.text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ParseError(
-            f"unexpected {token.text or 'end of input'!r}",
+    def _expected(self, text: str, token: Token) -> ParseError:
+        return ParseError(
+            f"expected {text!r}, found {token.text or 'end of input'!r}",
             self.source,
             token.position,
         )
 
+    def parse(self) -> Node:
+        tokens = self.tokens
+        out: List[Node] = []
+        #: operator entries ``(bp, op, unary)`` and group entries:
+        #: ``("(",)``, ``("call", name, args)``, ``("?", condition)`` and
+        #: ``(":", condition, if_true)``
+        ops: List[tuple] = []
+        i = 0
+        operand = True  # expecting an operand (else an operator)
+        not_ok = True  # "not" here is the operator, not a name
+        while True:
+            token = tokens[i]
+            kind, text = token.kind, token.text
+            if operand:
+                i += 1
+                if kind == "op" and text in ("-", "+"):
+                    if text == "-":
+                        ops.append(_NEGATE)
+                    not_ok = False
+                elif kind == "name" and text == "not" and not_ok:
+                    ops.append(_NOT)
+                elif kind == "num":
+                    out.append(Num(token.value))
+                    operand = False
+                elif kind == "name":
+                    if tokens[i].kind == "op" and tokens[i].text == "(":
+                        i += 1
+                        if tokens[i].kind == "op" and tokens[i].text == ")":
+                            i += 1
+                            out.append(Call(text, ()))
+                            operand = False
+                        else:
+                            ops.append(("call", text, []))
+                            not_ok = True
+                    else:
+                        out.append(Name(text))
+                        operand = False
+                elif kind == "op" and text == "(":
+                    ops.append(_PAREN)
+                    not_ok = True
+                else:
+                    raise ParseError(
+                        f"unexpected {text or 'end of input'!r}",
+                        self.source,
+                        token.position,
+                    )
+                continue
+            chained = False
+            if kind == "op" and text in _INFIX:
+                bp = _INFIX[text]
+                while ops and type(ops[-1][0]) is int and (
+                    ops[-1][0] > bp or (ops[-1][0] == bp and text != "^"
+                                         and bp != _COMPARISON)
+                ):
+                    _reduce(ops.pop(), out)
+                chained = bp == _COMPARISON and bool(ops) and ops[-1][0] == bp
+                if not chained:
+                    ops.append((bp, text, False))
+                    i += 1
+                    operand, not_ok = True, False
+                    continue
+            elif kind == "name" and text in _WORDS:
+                bp = _WORDS[text]
+                while ops and type(ops[-1][0]) is int and ops[-1][0] >= bp:
+                    _reduce(ops.pop(), out)
+                ops.append((bp, text, False))
+                i += 1
+                operand, not_ok = True, True
+                continue
+            elif kind == "op" and text == "?":
+                while ops and type(ops[-1][0]) is int:
+                    _reduce(ops.pop(), out)
+                ops.append(("?", out.pop()))
+                i += 1
+                operand, not_ok = True, True
+                continue
+            # the expression ends here: close it up to its enclosing group
+            while ops and (type(ops[-1][0]) is int or ops[-1][0] == ":"):
+                entry = ops.pop()
+                if entry[0] == ":":
+                    out.append(Ternary(entry[1], entry[2], out.pop()))
+                else:
+                    _reduce(entry, out)
+            if not ops:
+                if kind == "end":
+                    return out.pop()
+                raise ParseError(
+                    f"trailing input {text!r}", self.source, token.position
+                )
+            group = ops[-1]
+            if group[0] == "?":
+                if kind == "op" and text == ":":
+                    ops[-1] = (":", group[1], out.pop())
+                    i += 1
+                    operand, not_ok = True, True
+                    continue
+                raise self._expected(":", token)
+            if kind == "op" and text == ")":
+                ops.pop()
+                i += 1
+                operand = False
+                if group[0] == "call":
+                    group[2].append(out.pop())
+                    out.append(Call(group[1], tuple(group[2])))
+                continue
+            if group[0] == "call" and kind == "op" and text == ",":
+                group[2].append(out.pop())
+                i += 1
+                operand, not_ok = True, True
+                continue
+            raise self._expected(")", token)
+
 
 def parse(source: str) -> Node:
-    """Parse ``source`` into an AST.  Raises :class:`ParseError`."""
+    """Parse ``source`` into an AST.  Raises :class:`ParseError`, also
+    for text longer than :data:`MAX_LENGTH` or nested deeper than
+    :data:`MAX_DEPTH`."""
     if not isinstance(source, str):
         raise ParseError(f"expected a string, got {type(source).__name__}")
     if not source.strip():
         raise ParseError("empty expression", source, 0)
-    return _Parser(source).parse()
+    if len(source) > MAX_LENGTH:
+        raise ParseError(
+            f"expression is {len(source)} characters long; the limit is "
+            f"{MAX_LENGTH}"
+        )
+    parser = _Parser(source)
+    tree = parser.parse()
+    # a tree is never deeper than its token count
+    levels = depth(tree) if len(parser.tokens) > MAX_DEPTH else 0
+    if levels > MAX_DEPTH:
+        raise ParseError(
+            f"expression nests {levels} levels deep; the limit is {MAX_DEPTH}"
+        )
+    return tree
+
+
+def _chain(node: Binary) -> Tuple[Node, List[Binary]]:
+    """A left-associative chain: its first operand and its Binary nodes,
+    innermost first (``a - b + c`` -> ``a``, ``[a - b, (a - b) + c]``)."""
+    links: List[Binary] = []
+    while type(node) is Binary:
+        links.append(node)
+        node = node.left
+    links.reverse()
+    return node, links
+
+
+def depth(node: Node) -> int:
+    """Evaluation levels of a tree: how deep its compiled closures nest
+    (a unary chain, or a left-associative chain, is one level)."""
+    deepest = 0
+    pending: List[Tuple[Node, int]] = [(node, 1)]
+    while pending:
+        node, level = pending.pop()
+        deepest = max(deepest, level)
+        kind = type(node)
+        if kind is Unary:
+            while type(node) is Unary:
+                node = node.operand
+            pending.append((node, level + 1))
+        elif kind is Binary:
+            first, links = _chain(node)
+            pending.append((first, level + 1))
+            pending.extend((link.right, level + 1) for link in links)
+        else:
+            pending.extend((kid, level + 1) for kid in _children(node))
+    return deepest
 
 
 # --------------------------------------------------------------------------
-# Evaluation
+# Evaluation: every tree compiles to nested closures
 # --------------------------------------------------------------------------
 
 #: Constants every expression environment sees.  ``k`` and ``q`` support
@@ -406,6 +531,194 @@ _ARITY = {
     "clamp": (3, 3),
 }
 
+#: A compiled (sub)expression: called with whatever its name readers
+#: expect — a mapping for :meth:`Expression.evaluate`, the plan's slot
+#: values for :mod:`repro.core.plan`.
+Compiled = Callable[[object], float]
+
+
+def _divide(left: float, right: float) -> float:
+    if right == 0:
+        raise EvaluationError("division by zero")
+    return left / right
+
+
+def _modulo(left: float, right: float) -> float:
+    if right == 0:
+        raise EvaluationError("modulo by zero")
+    return math.fmod(left, right)
+
+
+def _power(left: float, right: float) -> float:
+    try:
+        result = left**right
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        raise EvaluationError(f"power error: {left} ^ {right}") from exc
+    if isinstance(result, complex):
+        raise EvaluationError(f"complex result: {left} ^ {right}")
+    return result
+
+
+_ARITHMETIC: Dict[str, Callable[[float, float], float]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "%": _modulo,
+    "^": _power,
+    "<": lambda a, b: 1.0 if a < b else 0.0,
+    "<=": lambda a, b: 1.0 if a <= b else 0.0,
+    ">": lambda a, b: 1.0 if a > b else 0.0,
+    ">=": lambda a, b: 1.0 if a >= b else 0.0,
+    "==": lambda a, b: 1.0 if a == b else 0.0,
+    "!=": lambda a, b: 1.0 if a != b else 0.0,
+}
+
+
+def _env_name(identifier: str) -> Compiled:
+    """Read ``identifier`` from a mapping env, then the constants."""
+
+    def read(env: Mapping[str, float]) -> float:
+        if identifier in env:
+            value = env[identifier]
+        elif identifier in CONSTANTS:
+            value = CONSTANTS[identifier]
+        else:
+            raise EvaluationError(f"unknown name {identifier!r}")
+        if callable(value):
+            value = value()
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise EvaluationError(
+                f"name {identifier!r} is not numeric: {value!r}"
+            ) from None
+
+    return read
+
+
+def _chain_of(first: Compiled, links: Sequence[Tuple[str, Compiled]]) -> Compiled:
+    """A left-associative chain ``first op right op right ...``,
+    evaluated left to right in one loop (one level however long)."""
+    if len(links) == 1 and links[0][0] in ("+", "-", "*"):
+        op, right = links[0]  # the commonest shapes, without the loop
+        if op == "+":
+            return lambda env: first(env) + right(env)
+        if op == "-":
+            return lambda env: first(env) - right(env)
+        return lambda env: first(env) * right(env)
+    steps = tuple((op, _ARITHMETIC.get(op), right) for op, right in links)
+
+    def run(env):
+        value = first(env)
+        for op, apply, right in steps:
+            if apply is not None:
+                value = apply(value, right(env))
+            elif op == "and":
+                value = (1.0 if right(env) else 0.0) if value else 0.0
+            elif op == "or":
+                value = 1.0 if value else (1.0 if right(env) else 0.0)
+            else:
+                right(env)
+                raise EvaluationError(f"unknown operator {op!r}")
+        return value
+
+    return run
+
+
+def _unary(ops: Sequence[str], inner: Compiled) -> Compiled:
+    if tuple(ops) == ("-",):
+        return lambda env: -inner(env)
+    steps = tuple(ops)
+
+    def run(env):
+        value = inner(env)
+        for op in steps:
+            if op == "-":
+                value = -value
+            elif op == "not":
+                value = 0.0 if value else 1.0
+            else:
+                raise EvaluationError(f"unknown unary operator {op!r}")
+        return value
+
+    return run
+
+
+def _call(function: str, args: Sequence[Compiled]) -> Compiled:
+    func = FUNCTIONS.get(function)
+    argc = len(args)
+    problem = None
+    if func is None:
+        problem = f"unknown function {function!r}"
+    else:
+        lo, hi = _ARITY[function]
+        if argc < lo or (hi is not None and argc > hi):
+            expected = (
+                str(lo) if lo == hi else f"{lo}..{hi if hi is not None else 'many'}"
+            )
+            problem = f"{function}() takes {expected} args, got {argc}"
+    if problem is not None:
+        def fail(env):
+            raise EvaluationError(problem)
+
+        return fail
+    argfns = tuple(args)
+
+    def run(env):
+        values = []
+        for arg in argfns:
+            values.append(arg(env))
+        try:
+            return float(func(*values))
+        except EvaluationError:
+            raise
+        except (OverflowError, ValueError, ZeroDivisionError) as exc:
+            raise EvaluationError(f"{function}() failed: {exc}") from exc
+
+    return run
+
+
+def compile_node(node: Node, name: Callable[[str], Compiled]) -> Compiled:
+    """Compile a tree into closures; ``name(identifier)`` supplies the
+    closure that reads one name.
+
+    The closures compute bit-for-bit what the grammar means, in the
+    same order: operands left to right, ``and``/``or``/``?:`` lazily,
+    the same :class:`EvaluationError` at the same point.  Closures nest
+    :func:`depth` levels deep.
+    """
+    kind = type(node)
+    if kind is Num:
+        value = node.value
+        return lambda env: value
+    if kind is Name:
+        return name(node.identifier)
+    if kind is Unary:
+        ops: List[str] = []
+        while type(node) is Unary:
+            ops.append(node.op)
+            node = node.operand
+        ops.reverse()  # innermost first
+        return _unary(ops, compile_node(node, name))
+    if kind is Binary:
+        first, links = _chain(node)
+        steps = []
+        for link in links:  # a loop, not a comprehension: one frame a level
+            steps.append((link.op, compile_node(link.right, name)))
+        return _chain_of(compile_node(first, name), steps)
+    if kind is Ternary:
+        condition = compile_node(node.condition, name)
+        if_true = compile_node(node.if_true, name)
+        if_false = compile_node(node.if_false, name)
+        return lambda env: if_true(env) if condition(env) else if_false(env)
+    if kind is Call:
+        args = []
+        for arg in node.args:
+            args.append(compile_node(arg, name))
+        return _call(node.function, args)
+    raise EvaluationError(f"unknown node type {kind.__name__}")
+
 
 def evaluate(node: Node, env: Optional[Mapping[str, float]] = None) -> float:
     """Evaluate an AST against a name environment.
@@ -415,119 +728,9 @@ def evaluate(node: Node, env: Optional[Mapping[str, float]] = None) -> float:
     inter-model references such as "power of the load of this DC-DC
     converter").  Unknown names raise :class:`EvaluationError`.
     """
-    env = env or {}
-    return _eval(node, env)
-
-
-def _lookup(identifier: str, env: Mapping[str, float]) -> float:
-    if identifier in env:
-        value = env[identifier]
-    elif identifier in CONSTANTS:
-        value = CONSTANTS[identifier]
-    else:
-        raise EvaluationError(f"unknown name {identifier!r}")
-    if callable(value):
-        value = value()
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise EvaluationError(
-            f"name {identifier!r} is not numeric: {value!r}"
-        ) from None
-
-
-def _eval(node: Node, env: Mapping[str, float]) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Name):
-        return _lookup(node.identifier, env)
-    if isinstance(node, Unary):
-        value = _eval(node.operand, env)
-        if node.op == "-":
-            return -value
-        if node.op == "not":
-            return 0.0 if value else 1.0
-        raise EvaluationError(f"unknown unary operator {node.op!r}")
-    if isinstance(node, Ternary):
-        condition = _eval(node.condition, env)
-        branch = node.if_true if condition else node.if_false
-        return _eval(branch, env)
-    if isinstance(node, Binary):
-        return _eval_binary(node, env)
-    if isinstance(node, Call):
-        return _eval_call(node, env)
-    raise EvaluationError(f"unknown node type {type(node).__name__}")
-
-
-def _eval_binary(node: Binary, env: Mapping[str, float]) -> float:
-    op = node.op
-    if op == "and":
-        left = _eval(node.left, env)
-        if not left:
-            return 0.0
-        return 1.0 if _eval(node.right, env) else 0.0
-    if op == "or":
-        left = _eval(node.left, env)
-        if left:
-            return 1.0
-        return 1.0 if _eval(node.right, env) else 0.0
-    left = _eval(node.left, env)
-    right = _eval(node.right, env)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise EvaluationError("division by zero")
-        return left / right
-    if op == "%":
-        if right == 0:
-            raise EvaluationError("modulo by zero")
-        return math.fmod(left, right)
-    if op == "^":
-        try:
-            result = left**right
-        except (OverflowError, ValueError, ZeroDivisionError) as exc:
-            raise EvaluationError(f"power error: {left} ^ {right}") from exc
-        if isinstance(result, complex):
-            raise EvaluationError(f"complex result: {left} ^ {right}")
-        return result
-    if op == "<":
-        return 1.0 if left < right else 0.0
-    if op == "<=":
-        return 1.0 if left <= right else 0.0
-    if op == ">":
-        return 1.0 if left > right else 0.0
-    if op == ">=":
-        return 1.0 if left >= right else 0.0
-    if op == "==":
-        return 1.0 if left == right else 0.0
-    if op == "!=":
-        return 1.0 if left != right else 0.0
-    raise EvaluationError(f"unknown operator {op!r}")
-
-
-def _eval_call(node: Call, env: Mapping[str, float]) -> float:
-    func = FUNCTIONS.get(node.function)
-    if func is None:
-        raise EvaluationError(f"unknown function {node.function!r}")
-    lo, hi = _ARITY[node.function]
-    argc = len(node.args)
-    if argc < lo or (hi is not None and argc > hi):
-        expected = str(lo) if lo == hi else f"{lo}..{hi if hi is not None else 'many'}"
-        raise EvaluationError(
-            f"{node.function}() takes {expected} args, got {argc}"
-        )
-    args = [_eval(arg, env) for arg in node.args]
-    try:
-        return float(func(*args))
-    except EvaluationError:
-        raise
-    except (OverflowError, ValueError, ZeroDivisionError) as exc:
-        raise EvaluationError(f"{node.function}() failed: {exc}") from exc
+    if env is None:
+        env = {}
+    return compile_node(node, _env_name)(env)
 
 
 # --------------------------------------------------------------------------
@@ -541,25 +744,19 @@ def variables(node: Node) -> Set[str]:
     The spreadsheet uses this to build its dependency graph.
     """
     found: Set[str] = set()
-    _collect(node, found)
-    return {name for name in found if name not in CONSTANTS}
-
-
-def _collect(node: Node, out: Set[str]) -> None:
-    if isinstance(node, Name):
-        out.add(node.identifier)
-    elif isinstance(node, Unary):
-        _collect(node.operand, out)
-    elif isinstance(node, Binary):
-        _collect(node.left, out)
-        _collect(node.right, out)
-    elif isinstance(node, Ternary):
-        _collect(node.condition, out)
-        _collect(node.if_true, out)
-        _collect(node.if_false, out)
-    elif isinstance(node, Call):
-        for arg in node.args:
-            _collect(arg, out)
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        kind = type(node)
+        if kind is Name:
+            if node.identifier not in CONSTANTS:
+                found.add(node.identifier)
+        elif kind is Binary:
+            pending.append(node.left)
+            pending.append(node.right)
+        elif kind is not Num:
+            pending.extend(_children(node))
+    return found
 
 
 def unparse(node: Node) -> str:
@@ -568,27 +765,36 @@ def unparse(node: Node) -> str:
     ``parse(unparse(t))`` evaluates identically to ``t`` — used by the
     web UI to echo stored model equations, and by the property tests.
     """
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Name):
-        return node.identifier
-    if isinstance(node, Unary):
-        if node.op == "not":
-            return f"(not {unparse(node.operand)})"
-        return f"({node.op}{unparse(node.operand)})"
-    if isinstance(node, Binary):
-        if node.op in ("and", "or"):
-            return f"({unparse(node.left)} {node.op} {unparse(node.right)})"
-        return f"({unparse(node.left)} {node.op} {unparse(node.right)})"
-    if isinstance(node, Ternary):
-        return (
-            f"({unparse(node.condition)} ? {unparse(node.if_true)}"
-            f" : {unparse(node.if_false)})"
-        )
-    if isinstance(node, Call):
-        args = ", ".join(unparse(arg) for arg in node.args)
-        return f"{node.function}({args})"
-    raise EvaluationError(f"cannot unparse {type(node).__name__}")
+    parts: List[str] = []
+    pending: List[object] = [node]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        kind = type(item)
+        if kind is Num:
+            parts.append(repr(item.value))
+        elif kind is Name:
+            parts.append(item.identifier)
+        elif kind is Unary:
+            opening = "(not " if item.op == "not" else f"({item.op}"
+            pending.extend((")", item.operand, opening))
+        elif kind is Binary:
+            pending.extend((")", item.right, f" {item.op} ", item.left, "("))
+        elif kind is Ternary:
+            pending.extend((")", item.if_false, " : ", item.if_true, " ? ",
+                            item.condition, "("))
+        elif kind is Call:
+            pending.append(")")
+            for index in range(len(item.args) - 1, -1, -1):
+                pending.append(item.args[index])
+                if index:
+                    pending.append(", ")
+            pending.append(f"{item.function}(")
+        else:
+            raise EvaluationError(f"cannot unparse {kind.__name__}")
+    return "".join(parts)
 
 
 class Expression:
@@ -598,12 +804,13 @@ class Expression:
     1.6e-14
     """
 
-    __slots__ = ("source", "ast", "_variables")
+    __slots__ = ("source", "ast", "_variables", "_run")
 
     def __init__(self, source: str):
         self.source = source
         self.ast = parse(source)
         self._variables = frozenset(variables(self.ast))
+        self._run: Optional[Compiled] = None
 
     @property
     def variables(self) -> frozenset:
@@ -611,10 +818,13 @@ class Expression:
         return self._variables
 
     def evaluate(self, env: Optional[Mapping[str, float]] = None) -> float:
-        return evaluate(self.ast, env)
+        run = self._run
+        if run is None:
+            run = self._run = compile_node(self.ast, _env_name)
+        return run({} if env is None else env)
 
     def __call__(self, **env: float) -> float:
-        return evaluate(self.ast, env)
+        return self.evaluate(env)
 
     def __repr__(self) -> str:
         return f"Expression({self.source!r})"

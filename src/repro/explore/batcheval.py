@@ -1,28 +1,19 @@
-"""Row-level memoized batch evaluation — many points, few recomputes.
+"""Batch evaluation — many points, few recomputes.
 
-:func:`repro.core.estimator.evaluate_power` rebuilds the full report
-tree on every call: every model expression re-walked, every scope name
-re-resolved, every breakdown re-summed.  Fine for one PLAY; wasteful
-for a 10k-point sweep where most rows' inputs did not change between
-neighbouring points (a ``VDD2`` step leaves every ``VDD1`` row's
-environment bit-identical).
-
-:class:`BatchEvaluator` compiles a design once and then evaluates
-points by **read-set memoization**: the first evaluation of a row
-records exactly which environment names the row's models read (gets,
-containment probes, and misses); later points re-resolve just those
-names and reuse the row's objective values when every recorded read
-matches.  A model that inspects its environment in any non-replayable
-way (iteration, length) permanently opts its row out — correctness
-never depends on guessing.
+:class:`BatchEvaluator` binds sweep targets onto the slots of one
+compiled :class:`~repro.core.plan.Plan`: an override is a slot write
+that marks the rows reading that slot dirty, and a point recomputes
+only the dirty rows, the rows fed by them, fallback rows (models the
+plan cannot compile, such as the DC-DC converter) and their ancestors'
+sums.  A ``VDD2`` step leaves every ``VDD1`` row untouched.
 
 The contract, relied on by the engine and enforced by the equivalence
 tests: for any design and override sequence, the objective values are
 **bit-identical** to serial :func:`evaluate_power` /
 :func:`evaluate_area` / :func:`evaluate_timing` calls under
-:func:`~repro.core.estimator.scope_overrides`.  Sums are performed in
-the same order over the same floats; memo hits return the exact float
-computed earlier, which a replay would recompute identically.
+:func:`~repro.core.estimator.scope_overrides`, and a point fails with
+the same exception.  Reused rows hold the exact floats computed
+earlier, which a recompute would reproduce.
 
 Sweep targets may be dotted paths (``custom.luminance_chip.lut.bits``)
 resolved by :func:`resolve_target` into the owning row scope, so sweeps
@@ -31,14 +22,12 @@ reach row-local parameters that top-page overrides cannot shadow.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
-from ..core.design import Design, Instance, SubDesign
-from ..core.parameters import ParameterScope
-from ..errors import DesignError, ExploreError, ModelError, PowerPlayError
-
-#: read kinds recorded by the recorder / validated by the probe
-_GET, _HAS, _MISS = 0, 1, 2
+from ..core.design import Design, SubDesign
+from ..core.parameters import Parameter, ParameterScope
+from ..core.plan import Plan
+from ..errors import ExploreError, PowerPlayError
 
 BUILTIN_OBJECTIVES = ("power", "area", "delay")
 
@@ -90,161 +79,21 @@ def resolve_target(design: Design, target: str) -> Tuple[ParameterScope, str]:
     return node.scope, name
 
 
-class _Env(Mapping[str, float]):
-    """Instance scope + inter-model extras — semantics of the
-    estimator's ``_RowEnv``, reconstructed cheaply per point."""
-
-    __slots__ = ("_scope", "_extras")
-
-    def __init__(self, scope: ParameterScope, extras: Mapping[str, float]):
-        self._scope = scope
-        self._extras = extras
-
-    def __getitem__(self, name: str) -> float:
-        if name in self._extras:
-            return self._extras[name]
-        return self._scope[name]
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._extras or name in self._scope
-
-    def __iter__(self) -> Iterator[str]:
-        yield from self._extras
-        for name in self._scope.names():
-            if name not in self._extras:
-                yield name
-
-    def __len__(self) -> int:
-        return len(set(self._extras) | set(self._scope.names()))
-
-    def __bool__(self) -> bool:
-        # truth-testing must not fall back to __len__: expression
-        # evaluation does ``env = env or {}`` on every call, and a
-        # __len__ fallback would (a) walk the whole scope chain and
-        # (b) look like non-replayable iteration to the recorder
-        return True
-
-
-class _Recorder(Mapping[str, float]):
-    """Wraps an environment and records every read for later replay."""
-
-    __slots__ = ("_env", "reads", "_seen", "unstable")
-
-    def __init__(self, env: Mapping[str, float]):
-        self._env = env
-        self.reads: List[Tuple[str, int, Optional[float]]] = []
-        self._seen: Dict[Tuple[str, int], bool] = {}
-        self.unstable = False
-
-    def _note(self, name: str, kind: int, value: Optional[float]) -> None:
-        key = (name, kind)
-        if key not in self._seen:
-            self._seen[key] = True
-            self.reads.append((name, kind, value))
-
-    def __getitem__(self, name: str) -> float:
-        try:
-            value = self._env[name]
-        except Exception:
-            self._note(name, _MISS, None)
-            raise
-        self._note(name, _GET, value)
-        return value
-
-    def __contains__(self, name: object) -> bool:
-        present = name in self._env
-        if isinstance(name, str):
-            self._note(name, _HAS, bool(present))
-        return present
-
-    def __iter__(self) -> Iterator[str]:
-        self.unstable = True
-        return iter(self._env)
-
-    def __len__(self) -> int:
-        self.unstable = True
-        return len(self._env)
-
-    def __bool__(self) -> bool:
-        # replay-safe: every env wraps a design scope and is never
-        # empty, and even for an empty one ``env or {}`` picks an
-        # equivalently-behaving mapping either way
-        return True
-
-
-class _Memo:
-    """One row's cached result for one objective kind."""
-
-    __slots__ = ("reads", "result", "unstable")
-
-    def __init__(self):
-        self.reads: Optional[List[Tuple[str, int, Optional[float]]]] = None
-        self.result: Optional[Tuple[float, ...]] = None
-        self.unstable = False
-
-    def matches(self, env: Mapping[str, float]) -> bool:
-        if self.unstable or self.reads is None:
-            return False
-        for name, kind, expect in self.reads:
-            if kind == _GET:
-                try:
-                    value = env[name]
-                except Exception:
-                    return False
-                if value != expect:
-                    return False
-            elif kind == _HAS:
-                if (name in env) != expect:
-                    return False
-            else:  # _MISS: the read raised last time; it must still raise
-                try:
-                    env[name]
-                except Exception:
-                    continue
-                return False
-        return True
-
-
-class _CompiledRow:
-    __slots__ = ("row", "power_memo", "area_memo", "timing_memo",
-                 "needs_area_param")
-
-    def __init__(self, row: Instance):
-        self.row = row
-        self.power_memo = _Memo()
-        self.area_memo = _Memo()
-        self.timing_memo = _Memo()
-        #: does some sibling area-feed on this row? (computed at compile)
-        self.needs_area_param = False
-
-
-class _CompiledDesign:
-    __slots__ = ("design", "order", "rows", "row_order")
-
-    def __init__(self, design: Design):
-        self.design = design
-        #: evaluation order (feeds before consumers)
-        self.order: List[str] = list(design.evaluation_order())
-        #: row name -> _CompiledRow | _CompiledDesign
-        self.rows: Dict[str, object] = {}
-        #: summation order (presentation order, as the estimator sums)
-        self.row_order: List[str] = list(design.row_names())
-        fed_areas = set()
-        for row in design:
-            if isinstance(row, SubDesign):
-                self.rows[row.name] = _CompiledDesign(row.design)
-            else:
-                self.rows[row.name] = _CompiledRow(row)
-                fed_areas.update(row.area_feeds)
-        for name in fed_areas:
-            compiled = self.rows.get(name)
-            if isinstance(compiled, _CompiledRow):
-                compiled.needs_area_param = True
+#: objective name -> plan pass
+_PASSES = {"power": "power", "area": "area", "delay": "timing"}
 
 
 class BatchEvaluator:
-    """Compile once, evaluate many points bit-identically to the
-    estimator (see module docstring for the memoization contract)."""
+    """Evaluate many points of one design bit-identically to the
+    estimator (see the module docstring).
+
+    The design is evaluated **as compiled at construction**: edits made
+    to it afterwards are not seen.  A target that names a parameter its
+    scope stores as a float is a plain slot write; one that names a
+    formula, or a name new to its scope, shadows what the rows resolved
+    at compile time, so the first point with such a target compiles a
+    plan with that target bound as a slot (reused for later points).
+    """
 
     def __init__(self, design: Design, objectives: Tuple[str, ...] = ("power",)):
         for objective in objectives:
@@ -257,185 +106,55 @@ class BatchEvaluator:
             raise ExploreError("need at least one objective")
         self.design = design
         self.objectives = tuple(objectives)
-        self._compiled = _CompiledDesign(design)
-        #: target string -> (scope, name), resolved lazily on first use
-        self._targets: Dict[str, Tuple[ParameterScope, str]] = {}
+        self._passes = tuple(_PASSES[objective] for objective in self.objectives)
+        self._plan = Plan(design)
+        for kind in self._passes:
+            self._plan.root(kind)
+        #: structural targets -> the plan binding them
+        self._plans: Dict[FrozenSet[Tuple[int, str]], Plan] = {
+            frozenset(): self._plan
+        }
+        #: target string -> (scope, name, declaration, structural)
+        self._targets: Dict[
+            str, Tuple[ParameterScope, str, Optional[Parameter], bool]
+        ] = {}
         self.hits = 0
         self.misses = 0
 
-    # -- overrides ---------------------------------------------------------
-
-    def _bind(self, target: str) -> Tuple[ParameterScope, str]:
+    def _bind(self, target: str):
         bound = self._targets.get(target)
         if bound is None:
-            bound = resolve_target(self.design, target)
+            scope, name = resolve_target(self.design, target)
+            structural = not isinstance(scope._values.get(name), float)
+            bound = (scope, name, scope.declaration_for(name), structural)
             self._targets[target] = bound
         return bound
 
     def evaluate(self, overrides: Mapping[str, float]) -> Dict[str, float]:
-        """Objective values at one point; design state restored after."""
-        saved: List[Tuple[ParameterScope, str, bool, object]] = []
+        """Objective values at one point; the design is left unchanged."""
+        writes = []
+        pins = []
+        for target, value in overrides.items():
+            scope, name, declaration, structural = self._bind(target)
+            number = float(value)
+            if declaration is not None:
+                number = declaration.validate(number)
+            writes.append((scope, name, number))
+            if structural:
+                pins.append((scope, name))
+        plan = self._plan
+        if pins:
+            key = frozenset((id(scope), name) for scope, name in pins)
+            plan = self._plans.get(key)
+            if plan is None:
+                plan = self._plans[key] = Plan(self.design, pins)
+        hits, misses = plan.hits, plan.misses
         try:
-            for target, value in overrides.items():
-                scope, name = self._bind(target)
-                had = name in scope.local_names()
-                saved.append(
-                    (scope, name, had, scope.raw(name) if had else None)
-                )
-                scope.set(name, float(value))
-            result: Dict[str, float] = {}
-            for objective in self.objectives:
-                if objective == "power":
-                    result["power"] = self._power(self._compiled)[0]
-                elif objective == "area":
-                    result["area"] = self._area(self._compiled)
-                else:
-                    result["delay"] = self._timing(self._compiled)[0]
-            return result
+            totals = plan.point(writes, self._passes)
         finally:
-            for scope, name, had, old in reversed(saved):
-                if had:
-                    scope._values[name] = old
-                else:
-                    scope.unset(name)
+            self.hits += plan.hits - hits
+            self.misses += plan.misses - misses
+        return dict(zip(self.objectives, totals))
 
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses}
-
-    # -- the three passes --------------------------------------------------
-
-    def _power(self, node: _CompiledDesign) -> Tuple[float, float]:
-        """(total watts, the report's ``_area`` stand-in: 0.0) for a
-        design node, mirroring ``_evaluate_design`` float-for-float."""
-        computed: Dict[str, Tuple[float, float]] = {}
-        for name in node.order:
-            compiled = node.rows[name]
-            if isinstance(compiled, _CompiledDesign):
-                computed[name] = (self._power(compiled)[0], 0.0)
-            else:
-                computed[name] = self._power_row(compiled, computed)
-        total = sum(computed[name][0] for name in node.row_order)
-        return total, 0.0
-
-    def _power_row(
-        self,
-        compiled: _CompiledRow,
-        computed: Mapping[str, Tuple[float, float]],
-    ) -> Tuple[float, float]:
-        row = compiled.row
-        extras: Dict[str, float] = {}
-        if row.power_feeds:
-            load = 0.0
-            for feed in row.power_feeds:
-                try:
-                    feed_power = computed[feed][0]
-                except KeyError:
-                    raise DesignError(
-                        f"row {row.name!r} feeds on unevaluated row {feed!r}"
-                    ) from None
-                extras[f"P.{feed}"] = feed_power
-                load += feed_power
-            extras["P_load"] = load
-        if row.area_feeds:
-            total_area = 0.0
-            for feed in row.area_feeds:
-                try:
-                    feed_area = computed[feed][1]
-                except KeyError:
-                    raise DesignError(
-                        f"row {row.name!r} area-feeds on unevaluated "
-                        f"row {feed!r}"
-                    ) from None
-                extras[f"A.{feed}"] = feed_area
-                total_area += feed_area
-            extras["active_area"] = total_area
-        env = _Env(row.scope, extras)
-        memo = compiled.power_memo
-        if memo.matches(env):
-            self.hits += 1
-            unit_power, area_param = memo.result
-        else:
-            self.misses += 1
-            recorder = _Recorder(env)
-            if row.measured_power is not None:
-                unit_power = row.measured_power
-            else:
-                try:
-                    unit_power = row.models.power.power(recorder)
-                except ModelError as exc:
-                    raise ModelError(f"row {row.name!r}: {exc}") from exc
-            area_param = 0.0
-            if compiled.needs_area_param and row.models.area is not None:
-                try:
-                    area_param = row.models.area.area(recorder) * row.quantity
-                except ModelError:
-                    area_param = 0.0
-            if recorder.unstable:
-                memo.unstable = True
-                memo.reads = None
-                memo.result = None
-            else:
-                memo.reads = recorder.reads
-                memo.result = (unit_power, area_param)
-        return unit_power * row.quantity, area_param
-
-    def _area(self, node: _CompiledDesign) -> float:
-        """Total active area, mirroring ``_evaluate_area``."""
-        children: List[float] = []
-        for name in node.row_order:
-            compiled = node.rows[name]
-            if isinstance(compiled, _CompiledDesign):
-                children.append(self._area(compiled))
-                continue
-            row = compiled.row
-            if row.models.area is None:
-                children.append(0.0)
-                continue
-            env = _Env(row.scope, {})
-            memo = compiled.area_memo
-            if memo.matches(env):
-                self.hits += 1
-                children.append(memo.result[0])
-                continue
-            self.misses += 1
-            recorder = _Recorder(env)
-            value = row.models.area.area(recorder) * row.quantity
-            if recorder.unstable:
-                memo.unstable = True
-            else:
-                memo.reads = recorder.reads
-                memo.result = (value,)
-            children.append(value)
-        return sum(children)
-
-    def _timing(self, node: _CompiledDesign) -> Tuple[float, bool]:
-        """(critical delay, modeled), mirroring ``_evaluate_timing``."""
-        children: List[Tuple[float, bool]] = []
-        for name in node.row_order:
-            compiled = node.rows[name]
-            if isinstance(compiled, _CompiledDesign):
-                children.append(self._timing(compiled))
-                continue
-            row = compiled.row
-            model = row.models.timing
-            if model is None:
-                children.append((0.0, False))
-                continue
-            env = _Env(row.scope, {})
-            memo = compiled.timing_memo
-            if memo.matches(env):
-                self.hits += 1
-                children.append((memo.result[0], True))
-                continue
-            self.misses += 1
-            recorder = _Recorder(env)
-            value = model.delay(recorder)
-            if recorder.unstable:
-                memo.unstable = True
-            else:
-                memo.reads = recorder.reads
-                memo.result = (value,)
-            children.append((value, True))
-        modeled = [delay for delay, is_modeled in children if is_modeled]
-        critical = max(modeled) if modeled else 0.0
-        return critical, bool(modeled)

@@ -17,10 +17,10 @@ killed-then-resumed runs all export byte-identical results.
 
 ``mode``:
 
-* ``serial`` — one evaluator, in-process; the memoization baseline.
+* ``serial`` — one evaluator, in-process; the reuse baseline.
 * ``thread`` — a thread pool; each thread lazily builds its own
   design replica + evaluator.  Best on one core too: the evaluator's
-  memo hit rate does the work, threads just overlap checkpoint I/O.
+  row reuse does the work, threads just overlap checkpoint I/O.
 * ``process`` — forked workers for true multi-core scaling.
 
 Cancellation (``should_stop``) is polled between chunks: finished
@@ -67,7 +67,7 @@ def _metric_points():
 def _metric_memo():
     return get_registry().counter(
         "powerplay_explore_memo_total",
-        "Batch-evaluator row memoization outcomes.",
+        "Batch-evaluator rows reused (hit) or recomputed (miss).",
         ("kind",),
     )
 

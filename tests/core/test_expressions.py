@@ -1,13 +1,17 @@
 """Expression language: parsing, evaluation, analysis, properties."""
 
 import math
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.expressions import (
+    MAX_DEPTH,
+    MAX_LENGTH,
     Expression,
     compile_expression,
+    depth,
     evaluate,
     parse,
     unparse,
@@ -275,3 +279,90 @@ def test_variables_complete(source):
 @given(st.floats(min_value=-1e8, max_value=1e8, allow_nan=False))
 def test_literal_evaluation(value):
     assert evaluate(parse(repr(value))) == value
+
+
+class TestEnvironmentProtocol:
+    def test_env_is_never_truth_tested_or_iterated(self):
+        # truth-testing a scope-backed env calls __len__, which rebuilds
+        # the scope chain's name list; evaluation must only look names up
+        class LookupOnly(Mapping):
+            def __getitem__(self, name):
+                return {"a": 2.0}[name]
+
+            def __contains__(self, name):
+                return name == "a"
+
+            def __len__(self):
+                raise AssertionError("__len__ called")
+
+            def __iter__(self):
+                raise AssertionError("__iter__ called")
+
+        assert Expression("a * 3").evaluate(LookupOnly()) == 6.0
+        assert evaluate(parse("a + pi"), LookupOnly()) == 2.0 + math.pi
+
+
+class TestLimits:
+    """Size and depth limits, and no recursion below them."""
+
+    # shapes a PLAY evaluated when the parser was recursive, at their
+    # largest: they must still parse
+    PLAYABLE = {
+        "parentheses": "(" * 88 + "2" + ")" * 88,
+        "calls": "abs(" * 88 + "2" + ")" * 88,
+        "sum": "+".join(["1"] * 493),
+        "unary": "-" * 972 + "2",
+        "power": "^".join(["1"] * 493),
+        "ternary": "1 ? " * 486 + "2" + " : 0" * 486,
+        "not": "not " * 972 + "1",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(PLAYABLE))
+    def test_formulas_that_evaluated_still_parse(self, shape):
+        tree = parse(self.PLAYABLE[shape])
+        evaluate(tree, {})
+
+    # the deepest and largest trees the limits admit
+    ADMITTED = {
+        "power": "^".join(["1"] * MAX_DEPTH),
+        "ternary": "1 ? " * (MAX_DEPTH - 1) + "2" + " : 0" * (MAX_DEPTH - 1),
+        "calls": "abs(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+        "right_nested": "x - (" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+        "sum": " + ".join(["x * 2"] * 5000),
+        "unary": "-" * 5000 + "x",
+        "mixed": "(" * 2000 + "x" + " + x) * 2" * 2000,
+    }
+
+    @pytest.mark.parametrize("shape", sorted(ADMITTED))
+    def test_no_walker_recurses_on_admitted_trees(self, shape):
+        source = self.ADMITTED[shape]
+        tree = parse(source)
+        assert depth(tree) <= MAX_DEPTH
+        assert variables(tree) <= {"x"}
+        assert parse(unparse(tree)) == tree
+        assert hash(parse(source)) == hash(tree)
+        assert Expression(source) == Expression(source)
+        value = Expression(source).evaluate({"x": 0.5})
+        assert value == evaluate(tree, {"x": 0.5})
+
+    def test_plan_compiles_admitted_trees(self):
+        from repro.core.design import Design
+        from repro.core.estimator import evaluate_power
+        from repro.core.model import ExpressionPowerModel
+
+        design = Design("deep")
+        design.scope.set("x", 0.5)
+        for shape, source in sorted(self.ADMITTED.items()):
+            design.scope.set(f"p_{shape}", source)
+            design.add(shape, ExpressionPowerModel(shape, f"p_{shape} * 1n"))
+        assert evaluate_power(design).evaluated_rows == len(self.ADMITTED)
+
+    def test_one_level_deeper_is_rejected(self):
+        with pytest.raises(ParseError, match="limit is 500"):
+            parse("^".join(["1"] * (MAX_DEPTH + 1)))
+        with pytest.raises(ParseError, match="limit is 500"):
+            parse("abs(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH)
+
+    def test_overlong_source_is_rejected(self):
+        with pytest.raises(ParseError, match="characters long"):
+            parse("1" + " " * MAX_LENGTH)

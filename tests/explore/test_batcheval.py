@@ -1,4 +1,4 @@
-"""BatchEvaluator: bit-identical to the estimator, memoized, restorable."""
+"""BatchEvaluator: bit-identical to the estimator, reuses rows, restorable."""
 
 import pytest
 
@@ -53,7 +53,7 @@ class TestEquivalence:
         design = make_design()
         evaluator = BatchEvaluator(design)
         # only the alu reads bitwidth: sweeping it must leave the mem
-        # row's memo valid, so hits grow past the first point
+        # row untouched, so hits grow past the first point
         for bits in (8.0, 12.0, 16.0, 24.0):
             evaluator.evaluate({"bitwidth": bits})
         stats = evaluator.stats()
@@ -95,10 +95,10 @@ class TestStateDiscipline:
             BatchEvaluator(make_design(), ("power", "speed"))
 
     def test_unreplayable_model_still_correct(self):
-        # a model that iterates its env cannot be memoized; it must be
+        # a model that iterates its env is a fallback row; it must be
         # re-evaluated every point, never served a stale value
         def snooping(env):
-            seen = dict(env)  # iteration marks the row unstable
+            seen = dict(env)  # iterates its environment
             return seen["VDD"] * 1e-3
 
         design = Design("d")

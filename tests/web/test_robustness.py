@@ -133,3 +133,56 @@ class TestExpressionFuzz:
             evaluate(tree, {"a": 1.0, "b": 2.0, "c": 3.0})
         except EvaluationError:
             pass
+
+
+class TestFormulaSize:
+    """Formulas that used to exhaust the parser's or the evaluator's
+    recursion (a 500 page, and a design that kept failing) are now
+    parsed iteratively and either evaluate or fail with a page."""
+
+    @pytest.fixture()
+    def fresh(self, tmp_path):
+        application = Application(tmp_path / "state")
+        application.handle("POST", "/login", {"user": "deep"})
+        application.handle("POST", "/design/new", {"user": "deep", "name": "d"})
+        return application
+
+    def _define(self, app, name, equation):
+        return app.handle(
+            "POST", "/define",
+            {"user": "deep", "name": name, "equation": equation,
+             "parameters": "", "doc": "", "category": "other",
+             "proprietary": "no"},
+        )
+
+    def test_define_with_100_nested_parentheses(self, fresh):
+        response = self._define(fresh, "deep", "(" * 100 + "VDD * 1n" + ")" * 100)
+        assert response.status < 500
+
+    @pytest.mark.parametrize("terms", [500, 1000])
+    def test_define_with_a_long_sum(self, fresh, terms):
+        response = self._define(fresh, f"sum{terms}", " + ".join(["VDD * 1n"] * terms))
+        assert response.status < 500
+        assert "you already defined" not in response.body
+
+    def test_play_with_a_600_term_sum_then_view(self, fresh):
+        play = fresh.handle(
+            "POST", "/design",
+            {"user": "deep", "name": "d", "g:f": " + ".join(["1e3"] * 600)},
+        )
+        assert play.status < 500
+        for route in ("/design", "/design/analysis"):
+            view = fresh.handle("GET", route, {"user": "deep", "name": "d"})
+            assert view.status == 200
+        design = fresh.users.session("deep").design("d")
+        assert design.scope.resolve("f") == 600 * 1e3
+
+    def test_play_beyond_the_depth_limit_is_a_form_error(self, fresh):
+        play = fresh.handle(
+            "POST", "/design",
+            {"user": "deep", "name": "d", "g:f": "^".join(["1"] * 600)},
+        )
+        assert play.status == 200
+        assert "limit is" in play.body
+        view = fresh.handle("GET", "/design", {"user": "deep", "name": "d"})
+        assert view.status == 200
