@@ -3,13 +3,13 @@
 The 1996 methodology varies "parameters such as bit-widths and supply
 voltages" by hand, one spreadsheet edit per point.  ``grid_search``
 automates the loop but still pays a full estimator pass per point;
-:mod:`repro.explore` compiles the design once and memoizes row read
-sets, so an InfoPad voltage x bit-width sweep re-computes only the rows
-each step actually disturbs.
+:mod:`repro.explore` compiles the design once into a plan whose
+overrides mark rows dirty, so an InfoPad voltage x bit-width sweep
+re-computes only the rows each step actually disturbs.
 
 Two deterministic gates:
 
-* the 8-worker engine sweep is at least 3x faster than the serial
+* the serial engine sweep is at least 3x faster than the serial
   ``grid_search`` baseline, with bit-identical powers at every point;
 * a job killed half-way and resumed from its checkpoint exports the
   byte-identical JSON an uninterrupted run produces.
@@ -59,7 +59,7 @@ def _record(update: dict) -> None:
     ARTIFACT.write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
-def test_eight_workers_beat_serial_grid_search():
+def test_engine_beats_serial_grid_search():
     design = build_infopad()
     bank = (
         design.row("custom_hardware").design
@@ -84,12 +84,9 @@ def test_eight_workers_beat_serial_grid_search():
         bank.scope.set("bits", nominal_bits)
     serial_s = time.perf_counter() - started
 
-    # the engine: compiled once, memoized, 8 workers
+    # the engine: compiled once, dirty rows only, serial
     started = time.perf_counter()
-    outcome = run_sweep(
-        build_infopad(), make_space(),
-        workers=8, mode="thread", chunk_size=64,
-    )
+    outcome = run_sweep(build_infopad(), make_space(), chunk_size=64)
     engine_s = time.perf_counter() - started
 
     assert len(outcome.rows) == len(baseline) == 225
@@ -104,7 +101,7 @@ def test_eight_workers_beat_serial_grid_search():
         "varied dynamically'",
     )
     print(f"{len(baseline)} points: serial grid_search {serial_s:.3f} s, "
-          f"8-worker engine {engine_s:.3f} s -> {speedup:.2f}x")
+          f"serial engine {engine_s:.3f} s -> {speedup:.2f}x")
     print(f"memo: {outcome.report.hits} hits / {outcome.report.misses} "
           f"misses")
     _record(

@@ -133,31 +133,25 @@ def _cmd_sweep_engine(args: argparse.Namespace) -> int:
     )
     from .explore.engine import run_job, run_sweep
 
-    stopper = None
-    finished = {"n": 0}
-    if args.max_chunks:
+    def _run(job) -> int:
+        """Run the job to a terminal state and print it; --max-chunks
+        stops it once that many new chunks (exhaustive or surrogate
+        phase) are checkpointed."""
+        stopper = None
+        if args.max_chunks:
 
-        def stopper() -> bool:
-            return finished["n"] >= args.max_chunks
+            def checkpointed() -> int:
+                return len(job.chunks) + sum(
+                    len(job.phase_chunks(phase)) for phase in job.phases
+                )
 
-    def _count_chunks(job) -> None:
-        """Make --max-chunks count both exhaustive and phase chunks."""
-        if not args.max_chunks:
-            return
-        original = job.record_chunk
+            at_start = checkpointed()
 
-        def counting(start, stop, rows, seconds):
-            original(start, stop, rows, seconds)
-            finished["n"] += 1
+            def stopper() -> bool:
+                return checkpointed() - at_start >= args.max_chunks
 
-        job.record_chunk = counting
-        original_phase = job.record_phase_chunk
-
-        def counting_phase(phase, ordinal, indices, rows, seconds):
-            original_phase(phase, ordinal, indices, rows, seconds)
-            finished["n"] += 1
-
-        job.record_phase_chunk = counting_phase
+        run_job(job, should_stop=stopper)
+        return _print_job_results(job, args)
 
     if args.resume:
         if not args.state:
@@ -168,9 +162,7 @@ def _cmd_sweep_engine(args: argparse.Namespace) -> int:
             f"resuming {job.job_id}: {job.done_points}/{job.total_points} "
             f"points already checkpointed"
         )
-        _count_chunks(job)
-        run_job(job, should_stop=stopper)
-        return _print_job_results(job, args)
+        return _run(job)
 
     design = _build_design(args.design)
     axes = [parse_axis_spec(spec) for spec in args.axis]
@@ -214,9 +206,7 @@ def _cmd_sweep_engine(args: argparse.Namespace) -> int:
             surrogate=surrogate,
         )
         print(f"job {job.job_id} created in {store.root}")
-        _count_chunks(job)
-        run_job(job, should_stop=stopper)
-        return _print_job_results(job, args)
+        return _run(job)
 
     if surrogate is not None:
         # ephemeral surrogate run: same phase engine, no persistence
@@ -229,15 +219,12 @@ def _cmd_sweep_engine(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size, prune=args.prune,
             surrogate=surrogate,
         )
-        _count_chunks(job)
-        run_job(job, should_stop=stopper)
-        return _print_job_results(job, args)
+        return _run(job)
 
     outcome = run_sweep(
         design, space, objectives=objectives, derived=derived,
         workers=args.workers, mode=args.mode,
         chunk_size=args.chunk_size, prune=args.prune,
-        should_stop=stopper,
     )
     return _print_outcome(
         outcome.rows, outcome.axis_names, outcome.objective_names,
@@ -1107,8 +1094,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(default power)",
     )
     sweeper.add_argument("--workers", type=int, default=1,
-                         help="worker count for thread/process modes")
-    sweeper.add_argument("--mode", choices=["serial", "thread", "process"],
+                         help="worker processes for process mode (capped "
+                         "at the CPU count)")
+    sweeper.add_argument("--mode", choices=["serial", "process"],
                          default="serial", help="engine mode (default serial)")
     sweeper.add_argument("--chunk-size", type=int, default=64,
                          help="points per chunk / checkpoint granule")

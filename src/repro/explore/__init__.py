@@ -4,14 +4,15 @@ The paper's methodology *is* exploration — "parameters such as
 bit-widths and supply voltages can be varied dynamically" — but a
 spreadsheet only varies one hand-edited cell at a time.  This package
 turns the one-shot what-if into **sweep jobs**: declarative parameter
-spaces (:mod:`repro.explore.space`), a worker-pool batch evaluator with
-row-level memoization (:mod:`repro.explore.engine`), crash-safe
+spaces (:mod:`repro.explore.space`), one chunk runner, serial or on
+worker processes, over the dirty-row batch evaluator
+(:mod:`repro.explore.engine`, :mod:`repro.explore.batcheval`), crash-safe
 checkpointed job persistence (:mod:`repro.explore.jobs`), and Pareto /
 sensitivity analysis over the results (:mod:`repro.explore.results`).
 
 The whole pipeline is deterministic: the same design and space yield
 bit-identical objective values and byte-identical exports, whether the
-sweep ran serially, on eight workers, or was killed half-way and
+sweep ran serially, on worker processes, or was killed half-way and
 resumed from its checkpoint.
 """
 

@@ -1,27 +1,29 @@
-"""The exploration engine: chunked, parallel, resumable sweeps.
+"""The exploration engine: chunked, resumable sweeps on one runner.
 
 Execution model
 ---------------
-A sweep is the parameter space sharded into ``[start, stop)`` chunks
-(:meth:`ParameterSpace.chunks`).  Chunks are independent: each is a
-pure function of (design payload, space payload, chunk range), so they
-can run serially, on a thread pool, or on forked worker processes and
-the assembled result is identical — rows are keyed by point index, not
-by completion order, and every worker evaluates with its **own** design
-replica (scope mutation during evaluation is not shareable).
+A sweep is a list of ``(key, indices)`` chunks run by
+:func:`run_chunks`.  Exhaustive sweeps pass contiguous ranges keyed by
+their start (:meth:`ParameterSpace.chunks`); the surrogate engine's
+train and verify phases pass scattered index lists keyed by ordinal.
+Chunks are independent: each is a pure function of (design payload,
+space payload, indices), so the assembled result does not depend on
+where or in which order they ran — rows are keyed by point index, not
+by completion order, and every worker evaluates with its **own**
+design replica (scope mutation during evaluation is not shareable).
 
 Determinism is the load-bearing property: objective values are
 bit-identical to serial :func:`repro.core.estimator.evaluate_power`
-calls (see :mod:`repro.explore.batcheval`), so serial, 8-worker, and
-killed-then-resumed runs all export byte-identical results.
+calls (see :mod:`repro.explore.batcheval`), so serial, multi-process,
+and killed-then-resumed runs all export byte-identical results.
 
 ``mode``:
 
-* ``serial`` — one evaluator, in-process; the reuse baseline.
-* ``thread`` — a thread pool; each thread lazily builds its own
-  design replica + evaluator.  Best on one core too: the evaluator's
-  row reuse does the work, threads just overlap checkpoint I/O.
-* ``process`` — forked workers for true multi-core scaling.
+* ``serial`` — one evaluator, in-process.
+* ``process`` — forked workers, each with its own evaluator: the only
+  mode that uses more than one core.  The pool holds
+  ``min(workers, os.cpu_count(), chunks)`` processes; when that is one
+  the chunks run in-process without forking.
 
 Cancellation (``should_stop``) is polled between chunks: finished
 chunks are already checkpointed via ``on_chunk``, in-flight chunks
@@ -31,19 +33,20 @@ resume picks up from.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import multiprocessing
-import threading
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.design import Design
 from ..errors import ExploreError, PowerPlayError
 from ..library.designio import design_from_payload, design_to_payload
 from ..obs import annotate, get_logger, get_registry, span
 from .batcheval import BatchEvaluator
-from .jobs import SweepJob
+from .jobs import ENGINE_MODES, SweepJob
 from .results import pareto_rows
 from .space import DerivedObjective, ParameterSpace
 
@@ -54,6 +57,9 @@ _LOG = get_logger("explore")
 _CHUNK_BUCKETS = (
     0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0
 )
+
+#: ``on_chunk(key, indices, rows, seconds)`` — the checkpoint hook
+ChunkHook = Callable[[int, Sequence[int], List[dict], float], None]
 
 
 def _metric_points():
@@ -91,6 +97,7 @@ class EngineReport:
     misses: int = 0
     seconds: float = 0.0
     mode: str = "serial"
+    #: processes that evaluated chunks (after the pool cap)
     workers: int = 1
 
     def to_payload(self) -> dict:
@@ -154,28 +161,18 @@ def _point_row(
     return row
 
 
-def _evaluate_range(
-    evaluator: BatchEvaluator,
-    space: ParameterSpace,
-    derived: Sequence[DerivedObjective],
-    start: int,
-    stop: int,
-) -> List[dict]:
-    return [
-        _point_row(evaluator, space, derived, index)
-        for index in range(start, stop)
-    ]
-
-
-def _evaluate_indices(
+def _evaluate_chunk(
     evaluator: BatchEvaluator,
     space: ParameterSpace,
     derived: Sequence[DerivedObjective],
     indices: Sequence[int],
-) -> List[dict]:
-    return [
-        _point_row(evaluator, space, derived, index) for index in indices
-    ]
+) -> Tuple[List[dict], float, int, int]:
+    """``(rows, seconds, row hits, row misses)`` for one chunk."""
+    hits0, misses0 = evaluator.hits, evaluator.misses
+    began = time.perf_counter()
+    rows = [_point_row(evaluator, space, derived, index) for index in indices]
+    return (rows, time.perf_counter() - began,
+            evaluator.hits - hits0, evaluator.misses - misses0)
 
 
 # -- process-mode workers ---------------------------------------------------
@@ -195,144 +192,84 @@ def _proc_init(design_payload, space_payload, objectives, derived_payloads):
     _PROC_STATE = (BatchEvaluator(design, tuple(objectives)), space, derived)
 
 
-def _proc_chunk(start: int, stop: int):
-    evaluator, space, derived = _PROC_STATE
-    hits0, misses0 = evaluator.hits, evaluator.misses
-    began = time.perf_counter()
-    rows = _evaluate_range(evaluator, space, derived, start, stop)
-    seconds = time.perf_counter() - began
-    return (start, stop, rows, seconds,
-            evaluator.hits - hits0, evaluator.misses - misses0)
-
-
-def _proc_index_chunk(ordinal: int, indices: Sequence[int]):
-    evaluator, space, derived = _PROC_STATE
-    hits0, misses0 = evaluator.hits, evaluator.misses
-    began = time.perf_counter()
-    rows = _evaluate_indices(evaluator, space, derived, indices)
-    seconds = time.perf_counter() - began
-    return (ordinal, indices, rows, seconds,
-            evaluator.hits - hits0, evaluator.misses - misses0)
+def _proc_chunk(key: int, indices: Sequence[int]):
+    return (key, indices) + _evaluate_chunk(*_PROC_STATE, indices)
 
 
 # -- the engine -------------------------------------------------------------
 
-class _ThreadWorkers:
-    """Lazily builds one design replica + evaluator per pool thread."""
-
-    def __init__(self, design: Design, objectives: Tuple[str, ...]):
-        self._payload = design_to_payload(design)
-        self._objectives = objectives
-        self._local = threading.local()
-        self._all: List[BatchEvaluator] = []
-        self._lock = threading.Lock()
-
-    def evaluator(self) -> BatchEvaluator:
-        evaluator = getattr(self._local, "evaluator", None)
-        if evaluator is None:
-            evaluator = BatchEvaluator(
-                design_from_payload(self._payload), self._objectives
-            )
-            self._local.evaluator = evaluator
-            with self._lock:
-                self._all.append(evaluator)
-        return evaluator
-
-    def stats(self) -> Tuple[int, int]:
-        with self._lock:
-            return (
-                sum(e.hits for e in self._all),
-                sum(e.misses for e in self._all),
-            )
-
-
-def _observe_chunk(record: Mapping) -> None:
-    rows = record["rows"]
-    failed = sum(1 for row in rows if row["error"])
+def _observe_chunk(key: int, rows: List[dict], failed: int,
+                   seconds: float) -> None:
     if len(rows) - failed:
         _metric_points().inc(len(rows) - failed, status="ok")
     if failed:
         _metric_points().inc(failed, status="error")
-    _metric_chunk_seconds().observe(record["seconds"])
+    _metric_chunk_seconds().observe(seconds)
     annotate(
         "chunk",
-        range=f"{record['start']}:{record['stop']}",
+        chunk=key,
         points=len(rows),
         errors=failed,
-        seconds=round(record["seconds"], 6),
+        seconds=round(seconds, 6),
     )
 
 
 def run_chunks(
     design: Design,
     space: ParameterSpace,
-    chunks: Sequence[Tuple[int, int]],
+    chunks: Sequence[Tuple[int, Sequence[int]]],
     objectives: Sequence[str] = ("power",),
     derived: Sequence[DerivedObjective] = (),
     workers: int = 1,
     mode: str = "serial",
     should_stop: Optional[Callable[[], bool]] = None,
-    on_chunk: Optional[Callable[[int, int, List[dict], float], None]] = None,
+    on_chunk: Optional[ChunkHook] = None,
 ) -> Tuple[Dict[int, dict], EngineReport]:
-    """Evaluate ``chunks`` of ``space``, calling ``on_chunk`` as each
-    finishes (that's the checkpoint hook).
+    """Evaluate ``(key, indices)`` chunks of ``space``, calling
+    ``on_chunk(key, indices, rows, seconds)`` as each finishes (that's
+    the checkpoint hook).
 
-    Returns ``(records, report)`` where ``records`` maps chunk start ->
-    ``{"start", "stop", "rows", "seconds"}``.  ``should_stop`` is polled
+    Returns ``(records, report)`` where ``records`` maps chunk key ->
+    ``{"indices", "rows", "seconds"}``.  ``should_stop`` is polled
     between chunks; unstarted chunks stay unevaluated, which is exactly
-    the state :meth:`SweepJob.pending_chunks` resumes from.
+    the state a resumed job picks up from.
     """
+    if mode not in ENGINE_MODES:
+        raise ExploreError(
+            f"unknown engine mode {mode!r}; choose serial or process"
+        )
     objectives = tuple(objectives)
     derived = tuple(derived)
-    workers = max(1, int(workers))
+    chunks = list(chunks)
+    if mode == "process":
+        workers = max(1, min(int(workers), os.cpu_count() or 1, len(chunks)))
+    else:
+        workers = 1
     records: Dict[int, dict] = {}
     report = EngineReport(mode=mode, workers=workers)
     began = time.perf_counter()
 
-    def _record(start, stop, rows, seconds, hits, misses):
-        record = {
-            "start": start, "stop": stop, "rows": rows, "seconds": seconds,
-        }
-        records[start] = record
+    def _record(key, indices, rows, seconds, hits, misses):
+        failed = sum(1 for row in rows if row["error"])
+        records[key] = {"indices": indices, "rows": rows, "seconds": seconds}
         report.points += len(rows)
-        report.errors += sum(1 for row in rows if row["error"])
+        report.errors += failed
         report.chunks += 1
         report.hits += hits
         report.misses += misses
-        _observe_chunk(record)
+        _observe_chunk(key, rows, failed, seconds)
         if on_chunk is not None:
-            on_chunk(start, stop, rows, seconds)
+            on_chunk(key, indices, rows, seconds)
 
-    if mode == "serial" or (workers == 1 and mode == "thread"):
+    if workers == 1:
         evaluator = BatchEvaluator(design, objectives)
-        for start, stop in chunks:
+        for key, indices in chunks:
             if should_stop is not None and should_stop():
                 break
             with span("explore.chunk"):
-                hits0, misses0 = evaluator.hits, evaluator.misses
-                chunk_began = time.perf_counter()
-                rows = _evaluate_range(evaluator, space, derived, start, stop)
-                _record(
-                    start, stop, rows, time.perf_counter() - chunk_began,
-                    evaluator.hits - hits0, evaluator.misses - misses0,
-                )
-    elif mode == "thread":
-        pool_workers = _ThreadWorkers(design, objectives)
-
-        def _thread_chunk(start: int, stop: int):
-            evaluator = pool_workers.evaluator()
-            hits0, misses0 = evaluator.hits, evaluator.misses
-            chunk_began = time.perf_counter()
-            rows = _evaluate_range(evaluator, space, derived, start, stop)
-            return (start, stop, rows, time.perf_counter() - chunk_began,
-                    evaluator.hits - hits0, evaluator.misses - misses0)
-
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="explore"
-        ) as pool:
-            _pump(pool, _thread_chunk, chunks, workers, should_stop,
-                  _record, ())
-    elif mode == "process":
+                _record(key, indices,
+                        *_evaluate_chunk(evaluator, space, derived, indices))
+    else:
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - platforms without fork
@@ -348,12 +285,7 @@ def run_chunks(
                 [d.to_payload() for d in derived],
             ),
         ) as pool:
-            _pump(pool, _proc_chunk, chunks, workers, should_stop,
-                  _record, ())
-    else:
-        raise ExploreError(
-            f"unknown engine mode {mode!r}; choose serial, thread or process"
-        )
+            _pump(pool, chunks, workers, should_stop, _record)
 
     report.seconds = time.perf_counter() - began
     _metric_memo().inc(report.hits, kind="hit")
@@ -367,140 +299,43 @@ def run_chunks(
     return records, report
 
 
-def run_index_chunks(
-    design: Design,
-    space: ParameterSpace,
-    index_chunks: Sequence[Tuple[int, Sequence[int]]],
-    objectives: Sequence[str] = ("power",),
-    derived: Sequence[DerivedObjective] = (),
-    workers: int = 1,
-    mode: str = "serial",
-    should_stop: Optional[Callable[[], bool]] = None,
-    on_chunk: Optional[Callable[[int, Sequence[int], List[dict], float],
-                                None]] = None,
-) -> Tuple[Dict[int, dict], EngineReport]:
-    """Evaluate explicit point-index lists — the surrogate engine's
-    exact phases (scattered training samples, the predicted front).
-
-    ``index_chunks`` is ``[(ordinal, [indices...]), ...]``; each chunk
-    checkpoints through ``on_chunk(ordinal, indices, rows, seconds)``
-    exactly like :func:`run_chunks` does for contiguous ranges, with
-    the same serial/thread/process modes and cancellation contract.
-    """
-    objectives = tuple(objectives)
-    derived = tuple(derived)
-    workers = max(1, int(workers))
-    records: Dict[int, dict] = {}
-    report = EngineReport(mode=mode, workers=workers)
-    began = time.perf_counter()
-
-    def _record(ordinal, indices, rows, seconds, hits, misses):
-        record = {
-            "ordinal": int(ordinal), "indices": list(indices),
-            "rows": rows, "seconds": seconds,
-        }
-        records[int(ordinal)] = record
-        report.points += len(rows)
-        report.errors += sum(1 for row in rows if row["error"])
-        report.chunks += 1
-        report.hits += hits
-        report.misses += misses
-        failed = sum(1 for row in rows if row["error"])
-        if len(rows) - failed:
-            _metric_points().inc(len(rows) - failed, status="ok")
-        if failed:
-            _metric_points().inc(failed, status="error")
-        _metric_chunk_seconds().observe(seconds)
-        if on_chunk is not None:
-            on_chunk(ordinal, indices, rows, seconds)
-
-    if mode == "serial" or (workers == 1 and mode == "thread"):
-        evaluator = BatchEvaluator(design, objectives)
-        for ordinal, indices in index_chunks:
-            if should_stop is not None and should_stop():
-                break
-            with span("explore.chunk"):
-                hits0, misses0 = evaluator.hits, evaluator.misses
-                chunk_began = time.perf_counter()
-                rows = _evaluate_indices(evaluator, space, derived, indices)
-                _record(
-                    ordinal, indices, rows,
-                    time.perf_counter() - chunk_began,
-                    evaluator.hits - hits0, evaluator.misses - misses0,
-                )
-    elif mode == "thread":
-        pool_workers = _ThreadWorkers(design, objectives)
-
-        def _thread_chunk(ordinal, indices):
-            evaluator = pool_workers.evaluator()
-            hits0, misses0 = evaluator.hits, evaluator.misses
-            chunk_began = time.perf_counter()
-            rows = _evaluate_indices(evaluator, space, derived, indices)
-            return (ordinal, indices, rows,
-                    time.perf_counter() - chunk_began,
-                    evaluator.hits - hits0, evaluator.misses - misses0)
-
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="explore"
-        ) as pool:
-            _pump(pool, _thread_chunk, index_chunks, workers, should_stop,
-                  _record, ())
-    elif mode == "process":
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platforms without fork
-            context = multiprocessing.get_context()
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_proc_init,
-            initargs=(
-                design_to_payload(design),
-                space.to_payload(),
-                objectives,
-                [d.to_payload() for d in derived],
-            ),
-        ) as pool:
-            _pump(pool, _proc_index_chunk, index_chunks, workers,
-                  should_stop, _record, ())
-    else:
-        raise ExploreError(
-            f"unknown engine mode {mode!r}; choose serial, thread or process"
-        )
-
-    report.seconds = time.perf_counter() - began
-    _metric_memo().inc(report.hits, kind="hit")
-    _metric_memo().inc(report.misses, kind="miss")
-    return records, report
-
-
-def _pump(pool, chunk_fn, chunks, workers, should_stop, record, extra_args):
+def _pump(pool, chunks, workers, should_stop, record):
     """Feed chunks to a pool keeping at most ``workers`` in flight.
 
     Bounded submission keeps memory flat on huge sweeps and makes
     ``should_stop`` prompt: in-flight chunks drain (and checkpoint),
     nothing new starts.
     """
-    pending = {}
-    queue = list(chunks)
-    position = 0
-    while position < len(queue) or pending:
-        while (position < len(queue) and len(pending) < workers
-               and not (should_stop is not None and should_stop())):
-            start, stop = queue[position]
-            position += 1
-            pending[pool.submit(chunk_fn, start, stop, *extra_args)] = start
-        if should_stop is not None and should_stop():
-            position = len(queue)
+    queue = collections.deque(chunks)
+    pending = set()
+    while queue or pending:
+        while queue and len(pending) < workers:
+            if should_stop is not None and should_stop():
+                queue.clear()
+                break
+            pending.add(pool.submit(_proc_chunk, *queue.popleft()))
         if not pending:
             break
-        done, _ = concurrent.futures.wait(
+        done, pending = concurrent.futures.wait(
             pending, return_when=concurrent.futures.FIRST_COMPLETED
         )
         for future in done:
-            pending.pop(future)
             with span("explore.chunk"):
                 record(*future.result())
+
+
+def _contiguous(
+    ranges: Sequence[Tuple[int, int]],
+    on_chunk: Optional[Callable[[int, int, List[dict], float], None]],
+) -> Tuple[List[Tuple[int, range]], Optional[ChunkHook]]:
+    """``[start, stop)`` ranges as runner chunks keyed by start, and an
+    ``on_chunk(start, stop, rows, seconds)`` hook adapted to them."""
+    chunks = [(start, range(start, stop)) for start, stop in ranges]
+    if on_chunk is None:
+        return chunks, None
+    return chunks, lambda start, indices, rows, seconds: on_chunk(
+        start, indices.stop, rows, seconds
+    )
 
 
 def run_sweep(
@@ -517,18 +352,21 @@ def run_sweep(
 ) -> SweepOutcome:
     """Evaluate the whole space and assemble rows in point order.
 
-    ``prune=True`` keeps only the Pareto-optimal rows (dominated
-    region dropped) — the report still counts every evaluated point.
+    ``on_chunk(start, stop, rows, seconds)`` fires once per
+    contiguous chunk.  ``prune=True`` keeps only the Pareto-optimal
+    rows (dominated region dropped) — the report still counts every
+    evaluated point.
     """
+    chunks, hook = _contiguous(space.chunks(chunk_size), on_chunk)
     with span("explore.sweep"):
         annotate(
             "sweep", design=design.name, points=len(space), mode=mode
         )
         records, report = run_chunks(
-            design, space, space.chunks(chunk_size),
+            design, space, chunks,
             objectives=objectives, derived=derived,
             workers=workers, mode=mode,
-            should_stop=should_stop, on_chunk=on_chunk,
+            should_stop=should_stop, on_chunk=hook,
         )
     rows: List[dict] = []
     for start in sorted(records):
@@ -550,21 +388,17 @@ def run_job(
 ) -> SweepJob:
     """Execute (or resume) a persisted sweep job to a terminal state.
 
-    Only the chunks missing from the job's checkpoint run; each
-    finished chunk checkpoints immediately, so killing this process at
-    any instant loses at most one in-flight chunk.  Honors both the
-    job's own :meth:`~SweepJob.request_cancel` flag and an external
-    ``should_stop``.
+    The job moves running -> done, failed or cancelled whichever engine
+    it uses.  Only the chunks missing from the job's checkpoint run;
+    each finished chunk checkpoints immediately, so killing this
+    process at any instant loses at most the in-flight chunks.  Honors
+    both the job's own :meth:`~SweepJob.request_cancel` flag and an
+    external ``should_stop``.
 
     Surrogate jobs (``job.surrogate`` set) run the fit-predict-verify
     phases instead of the exhaustive chunk walk.
     """
-    if getattr(job, "surrogate", None) is not None:
-        from ..surrogate.runner import run_surrogate_job
-
-        return run_surrogate_job(job, should_stop)
     job.set_state("running")
-    design = job.design()
 
     def _stop() -> bool:
         return job.cancel_requested or bool(
@@ -572,20 +406,24 @@ def run_job(
         )
 
     try:
-        run_chunks(
-            design, job.space, job.pending_chunks(),
-            objectives=job.objectives, derived=job.derived,
-            workers=job.workers, mode=job.mode,
-            should_stop=_stop, on_chunk=job.record_chunk,
-        )
+        if job.surrogate is not None:
+            from ..surrogate.runner import run_surrogate_job
+
+            finished = run_surrogate_job(job, _stop)
+        else:
+            chunks, hook = _contiguous(job.pending_chunks(), job.record_chunk)
+            run_chunks(
+                job.design(), job.space, chunks,
+                objectives=job.objectives, derived=job.derived,
+                workers=job.workers, mode=job.mode,
+                should_stop=_stop, on_chunk=hook,
+            )
+            finished = not job.pending_chunks()
     except PowerPlayError as exc:
         job.set_state("failed", str(exc))
         raise
     except BaseException as exc:
         job.set_state("failed", f"engine failure: {exc}")
         raise
-    if job.pending_chunks():
-        job.set_state("cancelled")
-    else:
-        job.set_state("done")
+    job.set_state("done" if finished else "cancelled")
     return job

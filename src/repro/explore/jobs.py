@@ -44,7 +44,8 @@ _TERMINAL = frozenset({"done", "failed"})
 # and \Z (not $) so "job-0001\n" cannot smuggle a newline through
 _JOB_ID_RE = re.compile(r"^job-[0-9]{4,12}\Z")
 
-_ENGINE_MODES = ("serial", "thread", "process")
+#: :mod:`repro.explore.engine` execution modes
+ENGINE_MODES = ("serial", "process")
 
 
 def _metric_jobs():
@@ -128,9 +129,9 @@ class SweepJob:
         self.objectives: Tuple[str, ...] = tuple(objectives)
         self.derived: Tuple[DerivedObjective, ...] = tuple(derived)
         self.workers = max(1, int(workers))
-        if mode not in _ENGINE_MODES:
+        if mode not in ENGINE_MODES:
             raise JobError(
-                f"unknown engine mode {mode!r}; choose from {_ENGINE_MODES}"
+                f"unknown engine mode {mode!r}; choose serial or process"
             )
         self.mode = mode
         self.chunk_size = max(1, int(chunk_size))
@@ -356,7 +357,10 @@ class SweepJob:
             )
             job.workers = max(1, int(payload.get("workers", 1)))
             mode = str(payload.get("mode", "serial"))
-            if mode not in _ENGINE_MODES:
+            if mode == "thread":
+                # thread mode is retired; its checkpoints resume serially
+                mode = "serial"
+            if mode not in ENGINE_MODES:
                 raise JobError(f"corrupt job payload: mode {mode!r}")
             job.mode = mode
             job.chunk_size = max(1, int(payload.get("chunk_size", 64)))

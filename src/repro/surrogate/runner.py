@@ -7,8 +7,8 @@ up from the last complete checkpoint, producing a **byte-identical**
 export:
 
 1. **train** — exact evaluation of the seeded training sample, chunked
-   through :func:`repro.explore.engine.run_index_chunks` (serial,
-   thread, or process mode) and checkpointed chunk by chunk;
+   through :func:`repro.explore.engine.run_chunks` (serial or process
+   mode) and checkpointed chunk by chunk;
 2. **plan** — fit the per-objective surrogates from the training rows,
    stream-predict the full space, select the predicted Pareto front and
    the uncertainty band, and checkpoint the whole plan (fit payloads,
@@ -28,10 +28,9 @@ byte-equality a *testable* contract rather than a hope.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
-from ..errors import PowerPlayError
-from ..explore.engine import run_index_chunks
+from ..explore.engine import run_chunks
 from ..explore.jobs import SweepJob
 from ..obs import annotate, get_logger, get_registry, span
 from .fit import SurrogateFit, error_bound, fit_surrogates
@@ -140,7 +139,7 @@ def _run_phase_chunks(
     if not pending:
         return True
     design = job.design()
-    run_index_chunks(
+    run_chunks(
         design, job.space, pending,
         objectives=job.objectives, derived=job.derived,
         workers=job.workers, mode=job.mode,
@@ -226,52 +225,37 @@ def _build_plan(job: SweepJob) -> None:
 
 
 def run_surrogate_job(
-    job: SweepJob,
-    should_stop: Optional[Callable[[], bool]] = None,
-) -> SweepJob:
-    """Execute (or resume) a surrogate job to a terminal state."""
-    job.set_state("running")
+    job: SweepJob, should_stop: Callable[[], bool]
+) -> bool:
+    """Run a surrogate job's missing phase work; True when none is left.
 
-    def _stop() -> bool:
-        return job.cancel_requested or bool(
-            should_stop is not None and should_stop()
+    :func:`repro.explore.engine.run_job` owns the job's state
+    transitions around this.
+    """
+    with span("surrogate.job"):
+        annotate(
+            "surrogate", job=job.job_id, points=job.total_points
         )
-
-    try:
-        with span("surrogate.job"):
-            annotate(
-                "surrogate", job=job.job_id, points=job.total_points
+        with span("surrogate.train"):
+            before = len(job.phase_rows("train"))
+            trained = _run_phase_chunks(
+                job, "train", train_plan(job), should_stop
             )
-            with span("surrogate.train"):
-                before = len(job.phase_rows("train"))
-                trained = _run_phase_chunks(
-                    job, "train", train_plan(job), _stop
+            _metric_train().inc(
+                len(job.phase_rows("train")) - before
+            )
+        if trained and not should_stop():
+            if job.phase_data("plan") is None:
+                _build_plan(job)
+            with span("surrogate.verify"):
+                before = len(job.phase_rows("verify"))
+                _run_phase_chunks(
+                    job, "verify", verify_plan(job), should_stop
                 )
-                _metric_train().inc(
-                    len(job.phase_rows("train")) - before
+                _metric_verify().inc(
+                    len(job.phase_rows("verify")) - before
                 )
-            if trained and not _stop():
-                if job.phase_data("plan") is None:
-                    _build_plan(job)
-                with span("surrogate.verify"):
-                    before = len(job.phase_rows("verify"))
-                    _run_phase_chunks(
-                        job, "verify", verify_plan(job), _stop
-                    )
-                    _metric_verify().inc(
-                        len(job.phase_rows("verify")) - before
-                    )
-    except PowerPlayError as exc:
-        job.set_state("failed", str(exc))
-        raise
-    except BaseException as exc:
-        job.set_state("failed", f"engine failure: {exc}")
-        raise
-    if surrogate_pending(job):
-        job.set_state("cancelled")
-    else:
-        job.set_state("done")
-    return job
+    return not surrogate_pending(job)
 
 
 def surrogate_result_rows(job: SweepJob) -> List[dict]:

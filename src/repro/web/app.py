@@ -1130,8 +1130,8 @@ class Application:
             objectives=objectives,
             derived=derived,
             owner=user,
-            workers=self._sweep_int(data, "workers", 2),
-            mode=data.get("mode", "thread"),
+            workers=self._sweep_int(data, "workers", 1),
+            mode=data.get("mode", "serial"),
             chunk_size=self._sweep_int(data, "chunk_size", 16),
             prune=data.get("prune", "no") == "yes",
             surrogate=surrogate,

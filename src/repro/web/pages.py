@@ -628,14 +628,14 @@ def sweep_form_page(
         ),
         H.labelled_field(
             "workers",
-            H.text_input("workers", filled.get("workers", "2"), size=4),
-            "evaluator workers",
+            H.text_input("workers", filled.get("workers", "1"), size=4),
+            "worker processes for process mode (capped at the CPU count)",
         ),
         H.labelled_field(
             "mode",
             H.select(
-                "mode", ["serial", "thread", "process"],
-                filled.get("mode", "thread"),
+                "mode", ["serial", "process"],
+                filled.get("mode", "serial"),
             ),
         ),
         H.labelled_field(

@@ -1,5 +1,8 @@
 """The sweep engine: modes agree byte-for-byte, resume is exact."""
 
+import json
+import os
+
 import pytest
 
 from repro.core.design import Design
@@ -15,7 +18,8 @@ from repro.explore import (
     export_json,
     run_sweep,
 )
-from repro.explore.engine import run_job
+from repro.errors import ExploreError
+from repro.explore.engine import run_chunks, run_job
 
 ADDER = TemplatePowerModel(
     "adder",
@@ -90,6 +94,25 @@ class TestSweepCorrectness:
         assert len(good) == 2
         assert outcome.report.errors == 1
 
+    def test_on_chunk_fires_per_contiguous_chunk_in_order(self):
+        seen = []
+        run_sweep(
+            make_design(), make_space(), chunk_size=5,
+            on_chunk=lambda start, stop, rows, seconds: seen.append(
+                (start, stop, [row["index"] for row in rows], seconds)
+            ),
+        )
+        assert [(start, stop) for start, stop, _, _ in seen] == \
+            [(0, 5), (5, 10), (10, 12)]
+        for start, stop, indices, seconds in seen:
+            assert indices == list(range(start, stop))
+            assert seconds >= 0.0
+
+    @pytest.mark.parametrize("mode", ["thread", "bogus"])
+    def test_unknown_mode_refused(self, mode):
+        with pytest.raises(ExploreError, match="serial or process"):
+            run_sweep(make_design(), make_space(), mode=mode)
+
     def test_prune_keeps_only_the_front(self):
         full = run_sweep(
             make_design(), make_space(), objectives=("power", "delay")
@@ -104,14 +127,6 @@ class TestSweepCorrectness:
 
 
 class TestModeEquivalence:
-    def test_thread_mode_byte_identical(self):
-        serial = run_sweep(make_design(), make_space(), chunk_size=3)
-        threaded = run_sweep(
-            make_design(), make_space(), chunk_size=3,
-            workers=4, mode="thread",
-        )
-        assert outcome_bytes(serial) == outcome_bytes(threaded)
-
     def test_process_mode_byte_identical(self):
         serial = run_sweep(make_design(), make_space(), chunk_size=4)
         forked = run_sweep(
@@ -119,6 +134,24 @@ class TestModeEquivalence:
             workers=2, mode="process",
         )
         assert outcome_bytes(serial) == outcome_bytes(forked)
+
+    def test_process_pool_capped_at_cpu_count(self):
+        cpus = os.cpu_count()
+        serial = run_sweep(make_design(), make_space(), chunk_size=1)
+        forked = run_sweep(
+            make_design(), make_space(), chunk_size=1,
+            workers=cpus + 3, mode="process",
+        )
+        assert 1 <= forked.report.workers <= cpus
+        assert outcome_bytes(serial) == outcome_bytes(forked)
+
+    def test_process_pool_capped_at_chunk_count(self):
+        forked = run_sweep(
+            make_design(), make_space(), chunk_size=12,
+            workers=4, mode="process",
+        )
+        assert forked.report.workers == 1
+        assert len(forked.rows) == 12
 
 
 class TestResumeEquivalence:
@@ -149,6 +182,32 @@ class TestResumeEquivalence:
         )
         assert resumed == expected
 
+    def test_thread_mode_checkpoint_resumes_serially(self, tmp_path):
+        expected = outcome_bytes(
+            run_sweep(make_design(), make_space(), chunk_size=3)
+        )
+        store = JobStore(tmp_path)
+        job = store.create(make_design(), make_space(), chunk_size=3)
+        run_job(job, should_stop=lambda: len(job.chunks) >= 2)
+        assert job.state == "cancelled"
+        # rewrite the checkpoint as a thread-mode job would have saved it
+        path = tmp_path / f"{job.job_id}.json"
+        payload = json.loads(path.read_text())
+        payload["mode"] = "thread"
+        payload["workers"] = 4
+        path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+
+        revived = JobStore(tmp_path).job(job.job_id)
+        assert revived.mode == "serial"
+        run_job(revived)
+        assert revived.state == "done"
+        resumed = export_json(
+            revived.result_rows(),
+            revived.space.axis_names,
+            revived.objective_names,
+        )
+        assert resumed == expected
+
     def test_resume_skips_finished_chunks(self, tmp_path):
         store = JobStore(tmp_path)
         job = store.create(make_design(), make_space(), chunk_size=3)
@@ -166,11 +225,9 @@ class TestIndexChunks:
     """Scattered-index evaluation: the surrogate engine's exact phases."""
 
     def records(self, mode="serial", workers=1, **kwargs):
-        from repro.explore.engine import run_index_chunks
-
         space = make_space()
         chunks = [(0, [0, 3, 7]), (1, [1, 11]), (2, [5])]
-        records, report = run_index_chunks(
+        records, report = run_chunks(
             make_design(), space, chunks, mode=mode, workers=workers,
             **kwargs,
         )
@@ -200,11 +257,6 @@ class TestIndexChunks:
             for ordinal, record in records.items()
         }
 
-    def test_thread_mode_identical_to_serial(self):
-        _, serial, _ = self.records()
-        _, threaded, _ = self.records(mode="thread", workers=3)
-        assert self.stable(threaded) == self.stable(serial)
-
     def test_process_mode_identical_to_serial(self):
         _, serial, _ = self.records()
         _, procs, _ = self.records(mode="process", workers=2)
@@ -220,15 +272,13 @@ class TestIndexChunks:
                                 (2, (5,), 1)]
 
     def test_should_stop_halts_between_chunks(self):
-        from repro.explore.engine import run_index_chunks
-
         calls = {"n": 0}
 
         def stop():
             calls["n"] += 1
             return calls["n"] > 1
 
-        records, _ = run_index_chunks(
+        records, _ = run_chunks(
             make_design(), make_space(),
             [(0, [0]), (1, [1]), (2, [2])], should_stop=stop,
         )

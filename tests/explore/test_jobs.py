@@ -63,13 +63,13 @@ class TestStore:
         store = JobStore(tmp_path)
         job = store.create(
             make_design(), make_space(), owner="alice",
-            workers=3, mode="thread", chunk_size=2, prune=True,
+            workers=3, mode="process", chunk_size=2, prune=True,
         )
         job.record_chunk(0, 2, [{"index": 0}, {"index": 1}], 0.5)
         # a fresh store simulates a process that crashed and restarted
         revived = JobStore(tmp_path).job(job.job_id)
         assert revived.owner == "alice"
-        assert revived.mode == "thread"
+        assert revived.mode == "process"
         assert revived.done_points == 2
         assert revived.pending_chunks() == [(2, 4), (4, 6)]
 
@@ -131,6 +131,17 @@ class TestLifecycle:
         job = JobStore(tmp_path).create(make_design(), make_space())
         with pytest.raises(JobError, match="incomplete"):
             job.result_rows()
+
+    def test_thread_mode_refused(self, tmp_path):
+        from repro.explore import SweepJob
+
+        with pytest.raises(JobError, match="serial or process"):
+            SweepJob("job-0001", "", make_design(), make_space(),
+                     mode="thread")
+        store = JobStore(tmp_path)
+        with pytest.raises(JobError, match="serial or process"):
+            store.create(make_design(), make_space(), mode="thread")
+        assert store.job_ids() == []
 
     def test_unknown_state_rejected(self, tmp_path):
         job = JobStore(tmp_path).create(make_design(), make_space())

@@ -77,6 +77,7 @@ class TestValidationNever500:
             ("objectives", "power,speed", "unknown objective"),
             ("derive", "broken spec", "name=expression"),
             ("couple", "wb=bw +* 2", "bad expression"),
+            ("mode", "thread", "choose serial or process"),
         ],
     )
     def test_bad_field_rerenders_form_as_400(self, app, field, value, expect):
@@ -185,7 +186,7 @@ class TestSweepLifecycle:
                 "VDD2=1.1:3.3:1.0\n"
                 "bw@custom_hardware.luminance_chip.read_bank.bits=8,16"
             ),
-            mode="thread",
+            mode="process",
             workers="2",
         )
         exported = get(
