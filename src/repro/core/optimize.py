@@ -10,8 +10,10 @@ loops the paper's methodology implies but leaves to the user's fingers:
   operating point that meets timing, plus the savings against nominal;
 * :func:`grid_search` — exhaustive sweep over a small parameter grid,
   returning a Pareto-annotated result list;
-* :func:`pareto_front` — non-dominated points for two objectives
-  (e.g. power vs delay, power vs area).
+* :func:`pareto_mask` — the non-dominated rows of any number of
+  minimized objectives: the one dominance test behind every front
+  (sweep rows, jobs, the surrogate scan, and :func:`pareto_front` /
+  :func:`pareto_points` here for power vs delay or power vs area).
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ModelError, PowerPlayError
 from .design import Design
@@ -196,44 +200,110 @@ def grid_search(
     return results
 
 
-def pareto_front(
+#: dominance comparisons are sub-chunked at this many rows to bound the
+#: broadcast to a few MB no matter how large the front grows
+_DOMINANCE_BLOCK = 2048
+
+
+def _pareto_mask_2d(unique: np.ndarray) -> np.ndarray:
+    """Sort-free front mask over lexicographically-sorted unique rows
+    with one or two columns: a row survives iff its last objective
+    strictly undercuts everything that sorts before it."""
+    last = unique[:, -1]
+    running = np.minimum.accumulate(last)
+    previous = np.concatenate(([np.inf], running[:-1]))
+    return last < previous
+
+
+def _pareto_mask_nd(unique: np.ndarray) -> np.ndarray:
+    """Blockwise front mask over lex-sorted unique rows, any number of
+    objectives.  Dominators always sort before their victims, so each
+    block only checks the survivors accumulated so far (plus earlier
+    rows of its own block); broadcasts stay bounded by the block size.
+    """
+    count = unique.shape[0]
+    keep = np.ones(count, dtype=bool)
+    kept = np.empty((0, unique.shape[1]))
+    for begin in range(0, count, _DOMINANCE_BLOCK):
+        block = unique[begin:begin + _DOMINANCE_BLOCK]
+        if kept.shape[0]:
+            # unique rows are distinct, so <= on every axis from a
+            # different row already implies strict-on-one
+            dominated = np.any(
+                np.all(kept[None, :, :] <= block[:, None, :], axis=2),
+                axis=1,
+            )
+        else:
+            dominated = np.zeros(block.shape[0], dtype=bool)
+        local = ~dominated
+        for i in np.flatnonzero(local):
+            later = np.flatnonzero(local[i + 1:]) + i + 1
+            if later.size:
+                local[later] &= ~np.all(
+                    block[i] <= block[later], axis=1
+                )
+        keep[begin:begin + block.shape[0]] = local
+        if np.any(local):
+            kept = np.vstack([kept, block[local]])
+    return keep
+
+
+def pareto_mask(vectors: np.ndarray) -> np.ndarray:
+    """Boolean mask of the non-dominated rows of an ``(n, k)`` array of
+    finite objective vectors, all minimized.
+
+    A row is dominated when another is <= on every column and < on one,
+    so rows tied on the full vector all survive (``-0.0`` ties ``0.0``).
+    Callers filter NaN/inf first: NaN compares false against everything
+    and would survive every test.  Rows are deduplicated in
+    lexicographic order; one or two columns then take an O(n log n)
+    running-minimum scan, more fall back to blockwise dominance.
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.shape[0] == 0:
+        return np.zeros(0, dtype=bool)
+    unique, inverse = np.unique(vectors, axis=0, return_inverse=True)
+    if unique.shape[1] <= 2:
+        keep_unique = _pareto_mask_2d(unique)
+    else:
+        keep_unique = _pareto_mask_nd(unique)
+    return keep_unique[inverse]
+
+
+def _finite_points(
     points: Iterable[Tuple[float, float]],
 ) -> List[Tuple[float, float]]:
-    """Non-dominated (minimize, minimize) points, sorted by the first axis.
-
-    A point dominates another when it is <= on both axes and < on one.
-    Non-finite coordinates are rejected: a NaN never compares, so one
-    bad point would silently poison the whole front.
-    """
+    """Points as float pairs; a NaN never compares, so one bad point
+    would silently poison the whole front — non-finite ones raise."""
     candidates = []
-    for point in points:
-        first, second = point
+    for first, second in points:
         if not (math.isfinite(first) and math.isfinite(second)):
             raise ModelError(
                 f"pareto_front: non-finite point ({first!r}, {second!r})"
             )
         candidates.append((float(first), float(second)))
-    candidates = sorted(set(candidates))
-    front: List[Tuple[float, float]] = []
-    best_second = float("inf")
-    for first, second in candidates:
-        if second < best_second:
-            front.append((first, second))
-            best_second = second
-    return front
+    return candidates
+
+
+def pareto_front(
+    points: Iterable[Tuple[float, float]],
+) -> List[Tuple[float, float]]:
+    """Non-dominated (minimize, minimize) points, unique and sorted by
+    the first axis.  Non-finite coordinates raise :class:`ModelError`.
+    """
+    candidates = sorted(set(_finite_points(points)))
+    keep = pareto_mask(candidates)
+    return [point for point, kept in zip(candidates, keep) if kept]
 
 
 def pareto_points(
     results: Sequence[GridPoint], metric: str
 ) -> List[GridPoint]:
-    """GridPoints on the (power, metric) Pareto front."""
-    front = set(
-        pareto_front(
+    """GridPoints on the (power, metric) Pareto front, in input order;
+    tied configurations all stay."""
+    keep = pareto_mask(
+        _finite_points(
             (point.power, point.metrics[metric]) for point in results
         )
     )
-    return [
-        point
-        for point in results
-        if (point.power, point.metrics[metric]) in front
-    ]
+    return [point for point, kept in zip(results, keep) if kept]

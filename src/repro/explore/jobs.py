@@ -19,6 +19,7 @@ an uninterrupted run's.
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 from pathlib import Path
@@ -29,6 +30,7 @@ from ..errors import JobError, PowerPlayError
 from ..library.designio import design_from_payload, design_to_payload
 from ..obs import get_logger, get_registry
 from ..state import FileBackend, open_backend
+from .results import pareto_rows
 from .space import DerivedObjective, ParameterSpace
 
 _LOG = get_logger("jobs")
@@ -91,6 +93,13 @@ def coerce_surrogate(config: Mapping) -> dict:
         raise JobError(
             f"surrogate verify budget must be >= 0, got "
             f"{out['verify_top']}"
+        )
+    # NaN fails every comparison, so a NaN budget would silently turn
+    # the check off; 0 is the only way to ask for no budget
+    if not (math.isfinite(out["max_error"]) and out["max_error"] >= 0):
+        raise JobError(
+            f"surrogate max_error must be a finite number >= 0 "
+            f"(0 = no budget), got {out['max_error']!r}"
         )
     return out
 
@@ -193,7 +202,9 @@ class SweepJob:
         ]
 
     def result_rows(self) -> List[dict]:
-        """All checkpointed rows in point order (raises if incomplete).
+        """All checkpointed rows in point order (raises if incomplete),
+        Pareto-pruned as :func:`~repro.explore.engine.run_sweep` does
+        when the job was submitted with ``prune``.
 
         For surrogate jobs this assembles the exact + predicted row set
         from the phase checkpoints instead of the chunk walk.
@@ -201,16 +212,18 @@ class SweepJob:
         if self.surrogate is not None:
             from ..surrogate.runner import surrogate_result_rows
 
-            return surrogate_result_rows(self)
-        if self.pending_chunks():
+            rows = surrogate_result_rows(self)
+        elif self.pending_chunks():
             raise JobError(
                 f"job {self.job_id!r} is incomplete: "
                 f"{self.done_points}/{self.total_points} points"
             )
-        rows: List[dict] = []
-        for start in sorted(self.chunks):
-            rows.extend(self.chunks[start]["rows"])
-        return rows
+        else:
+            rows = [
+                row for start in sorted(self.chunks)
+                for row in self.chunks[start]["rows"]
+            ]
+        return pareto_rows(rows, self.objective_names) if self.prune else rows
 
     # -- surrogate phases --------------------------------------------------
 

@@ -18,42 +18,23 @@ import json
 import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..core.optimize import pareto_mask
 from ..errors import ExploreError
 
 
 def _objective_vector(
     row: Mapping, objectives: Sequence[str]
-) -> Optional[Tuple[float, ...]]:
-    """The row's objective tuple, or ``None`` for failed rows and rows
-    carrying a non-finite objective.
-
-    Surrogate-predicted rows can legitimately hold NaN/inf (an
-    extrapolating basis, a log of a non-positive value); a NaN must
-    never reach dominance comparison — NaN compares false against
-    everything and would silently survive onto the frontier — so
-    such rows are dropped, and callers can count them via the
-    ``stats`` out-param on :func:`pareto_rows`.
-    """
-    if row.get("error"):
-        return None
+) -> List[float]:
+    """The row's objective values in ``objectives`` order."""
     values = row.get("objectives", {})
     try:
-        vector = tuple(float(values[name]) for name in objectives)
+        return [float(values[name]) for name in objectives]
     except KeyError as exc:
         raise ExploreError(
             f"row {row.get('index')} is missing objective {exc}"
         ) from None
-    for value in vector:
-        if not math.isfinite(value):
-            return None
-    return vector
-
-
-def _dominates(a: Sequence[float], b: Sequence[float]) -> bool:
-    """True when ``a`` is no worse on every axis and better on one
-    (all objectives minimized)."""
-    no_worse = all(x <= y for x, y in zip(a, b))
-    return no_worse and any(x < y for x, y in zip(a, b))
 
 
 def pareto_rows(
@@ -64,41 +45,29 @@ def pareto_rows(
     """Non-dominated rows over N minimized objectives.
 
     Failed rows (non-empty ``error``) and rows with any non-finite
-    objective never make the front; pass a dict as ``stats`` to get
-    ``{"dropped_failed": n, "dropped_non_finite": m}`` back.  Ties on
-    the full objective vector all survive (they dominate nobody and
-    nobody dominates them), matching the designer's expectation that
-    equivalent configurations stay visible.  Output preserves point
-    order.
+    objective never make the front — surrogate-predicted rows can
+    legitimately hold NaN/inf (an extrapolating basis, a log of a
+    non-positive value), and a NaN would survive every dominance test.
+    Pass a dict as ``stats`` to get
+    ``{"dropped_failed": n, "dropped_non_finite": m}`` back.  The rest
+    go through :func:`~repro.core.optimize.pareto_mask`: ties on the
+    full objective vector all survive, matching the designer's
+    expectation that equivalent configurations stay visible.  Output
+    preserves point order.
     """
     if not objectives:
         raise ExploreError("pareto_rows needs at least one objective")
-    dropped_failed = 0
-    dropped_non_finite = 0
-    scored = []
-    for row in rows:
-        vector = _objective_vector(row, objectives)
-        if vector is None:
-            if row.get("error"):
-                dropped_failed += 1
-            else:
-                dropped_non_finite += 1
-            continue
-        scored.append((row, vector))
+    scored = [row for row in rows if not row.get("error")]
+    vectors = np.array(
+        [_objective_vector(row, objectives) for row in scored], dtype=float
+    ).reshape(len(scored), len(objectives))
+    finite = np.isfinite(vectors).all(axis=1)
     if stats is not None:
-        stats["dropped_failed"] = dropped_failed
-        stats["dropped_non_finite"] = dropped_non_finite
-    # sort by objective vector: a dominator always sorts before its
-    # victims lexicographically, so one pass against the running front
-    # suffices
-    scored.sort(key=lambda item: item[1])
-    front: List[Tuple[Mapping, Tuple[float, ...]]] = []
-    for row, vector in scored:
-        if any(_dominates(kept, vector) for _, kept in front):
-            continue
-        front.append((row, vector))
-    kept_indexes = {id(row) for row, _ in front}
-    return [row for row in rows if id(row) in kept_indexes]
+        stats["dropped_failed"] = len(rows) - len(scored)
+        stats["dropped_non_finite"] = int(np.count_nonzero(~finite))
+    keep = np.zeros(len(scored), dtype=bool)
+    keep[finite] = pareto_mask(vectors[finite])
+    return [row for row, kept in zip(scored, keep) if kept]
 
 
 def sensitivity_ranking(

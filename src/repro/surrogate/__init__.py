@@ -19,8 +19,9 @@ premise.  The flow and its guarantees:
   behind ``repro sweep --surrogate`` and the ``/sweep`` UI toggle.
 """
 
+from ..core.optimize import pareto_mask
 from .fit import BASIS_NAMES, SurrogateFit, fit_objective, fit_surrogates
-from .predict import PredictionScan, axis_matrix, pareto_mask, scan_space
+from .predict import PredictionScan, axis_matrix, scan_space
 from .runner import (
     run_surrogate_job,
     surrogate_pending,

@@ -6,9 +6,9 @@ vectorized row-major arithmetic (``values[(index // stride) % len]``),
 every fitted objective is predicted as one matrix product, and only two
 small running structures survive the pass:
 
-* the **predicted Pareto front** — merged chunk by chunk, ties on the
-  full objective vector surviving exactly as
-  :func:`repro.explore.results.pareto_rows` keeps them;
+* the **predicted Pareto front** — merged chunk by chunk through
+  :func:`repro.core.optimize.pareto_mask`, the one dominance test every
+  front in PowerPlay uses (ties on the full objective vector survive);
 * the **uncertainty band** — the top-K points by leverage-scaled
   relative error score ``rms · sqrt(1 + h) / |prediction|``, the rows
   where the model is least trustworthy and exact verification buys the
@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..core.optimize import pareto_mask
 from ..errors import PowerPlayError, SurrogateError
 from ..explore.space import DerivedObjective, ParameterSpace
 from .fit import SurrogateFit, _TINY
@@ -33,10 +34,6 @@ from .sampling import axis_strides
 
 #: default streaming window; ~an (n, terms) matrix product per window
 DEFAULT_CHUNK = 65536
-
-#: dominance comparisons are sub-chunked at this many rows to bound the
-#: broadcast to a few MB no matter how large a window's local front is
-_DOMINANCE_BLOCK = 2048
 
 
 def axis_matrix(
@@ -57,67 +54,6 @@ def axis_matrix(
         for axis, stride in zip(space.axes, strides)
     ]
     return np.column_stack(columns) if columns else np.empty((0, 0))
-
-
-def _pareto_mask_2d(unique: np.ndarray) -> np.ndarray:
-    """Sort-free front mask over lexicographically-sorted unique rows
-    with two columns: a row survives iff its second objective strictly
-    undercuts everything that sorts before it."""
-    second = unique[:, 1]
-    running = np.minimum.accumulate(second)
-    previous = np.concatenate(([np.inf], running[:-1]))
-    return second < previous
-
-
-def _pareto_mask_nd(unique: np.ndarray) -> np.ndarray:
-    """Blockwise front mask over lex-sorted unique rows, any number of
-    objectives.  Dominators always sort before their victims, so each
-    block only checks the survivors accumulated so far (plus earlier
-    rows of its own block); broadcasts stay bounded by the block size.
-    """
-    count = unique.shape[0]
-    keep = np.ones(count, dtype=bool)
-    kept = np.empty((0, unique.shape[1]))
-    for begin in range(0, count, _DOMINANCE_BLOCK):
-        block = unique[begin:begin + _DOMINANCE_BLOCK]
-        if kept.shape[0]:
-            # unique rows are distinct, so <= on every axis from a
-            # different row already implies strict-on-one
-            dominated = np.any(
-                np.all(kept[None, :, :] <= block[:, None, :], axis=2),
-                axis=1,
-            )
-        else:
-            dominated = np.zeros(block.shape[0], dtype=bool)
-        local = ~dominated
-        for i in np.flatnonzero(local):
-            later = np.flatnonzero(local[i + 1:]) + i + 1
-            if later.size:
-                local[later] &= ~np.all(
-                    block[i] <= block[later], axis=1
-                )
-        keep[begin:begin + block.shape[0]] = local
-        if np.any(local):
-            kept = np.vstack([kept, block[local]])
-    return keep
-
-
-def pareto_mask(vectors: np.ndarray) -> np.ndarray:
-    """Boolean mask of non-dominated rows (all objectives minimized).
-
-    Ties on the full vector all survive, matching ``pareto_rows``.
-    Two objectives get an O(n log n) sort-and-scan; more fall back to
-    blockwise dominance in lexicographic order.
-    """
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    unique, inverse = np.unique(vectors, axis=0, return_inverse=True)
-    if vectors.shape[1] == 2:
-        keep_unique = _pareto_mask_2d(unique)
-    else:
-        keep_unique = _pareto_mask_nd(unique)
-    return keep_unique[inverse]
 
 
 @dataclass
@@ -232,11 +168,8 @@ def scan_space(
         score = score[finite]
 
         if vectors.shape[0]:
-            local = pareto_mask(vectors)
-            merged_vectors = np.vstack([front_vectors, vectors[local]])
-            merged_indices = np.concatenate(
-                [front_indices, window_indices[local]]
-            )
+            merged_vectors = np.vstack([front_vectors, vectors])
+            merged_indices = np.concatenate([front_indices, window_indices])
             keep = pareto_mask(merged_vectors)
             front_vectors = merged_vectors[keep]
             front_indices = merged_indices[keep]

@@ -1231,7 +1231,7 @@ class Application:
                 objective_names,
                 front,
                 sensitivity,
-                total_rows=len(rows),
+                total_rows=job.total_points,
                 auth=self._auth_token(user),
                 surrogate=surrogate,
             )

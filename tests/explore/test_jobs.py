@@ -9,8 +9,18 @@ from repro.core.expressions import compile_expression as E
 from repro.core.model import CapacitiveTerm, TemplatePowerModel
 from repro.core.parameters import Parameter
 from repro.errors import JobError
-from repro.explore import Axis, JobStore, ParameterSpace, validate_job_id
+from repro.explore import (
+    Axis,
+    DerivedObjective,
+    JobStore,
+    ParameterSpace,
+    export_csv,
+    export_json,
+    run_sweep,
+    validate_job_id,
+)
 from repro.explore.engine import run_job
+from repro.explore.jobs import coerce_surrogate
 
 ADDER = TemplatePowerModel(
     "adder",
@@ -172,3 +182,42 @@ class TestLifecycle:
         run_job(job, should_stop=stop_after_two)
         assert job.state == "cancelled"
         assert 0 < job.done_points < job.total_points
+
+
+class TestPrune:
+    """``prune`` on a persisted job means what it means in memory."""
+
+    def test_pruned_job_exports_match_run_sweep(self, tmp_path):
+        from repro.designs.infopad import build_infopad
+
+        space = ParameterSpace([
+            Axis("VDD2", (1.1, 1.5, 2.0, 2.5, 3.3)),
+            Axis("bits", (8.0, 12.0, 16.0),
+                 target="custom_hardware.luminance_chip.read_bank.bits"),
+        ])
+        derived = (DerivedObjective(
+            "access_time", "2e-8 * (VDD2 / 1.5) / ((VDD2 - 0.7) ^ 1.3)"
+        ),)
+        outcome = run_sweep(
+            build_infopad(), space, derived=derived, chunk_size=4,
+            prune=True,
+        )
+        job = JobStore(tmp_path).create(
+            build_infopad(), space, derived=derived, chunk_size=4,
+            prune=True,
+        )
+        run_job(job)
+        rows = job.result_rows()
+        assert 0 < len(rows) < len(space)
+        names = (space.axis_names, job.objective_names)
+        assert export_csv(rows, *names) == export_csv(outcome.rows, *names)
+        assert export_json(rows, *names) == export_json(
+            outcome.rows, *names
+        )
+
+
+class TestSurrogateConfig:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+    def test_bad_max_error_rejected(self, bad):
+        with pytest.raises(JobError, match="max_error"):
+            coerce_surrogate({"max_error": bad})

