@@ -285,7 +285,8 @@ def _print_outcome(rows, axis_names, objective_names, report, args) -> int:
 
     if report is not None:
         print(
-            f"engine: {report.points} points in {report.chunks} chunks, "
+            f"engine: {report.points} points in {report.chunks} chunks "
+            f"({report.columnar} columnar), "
             f"{report.seconds:.3f} s, memo {report.hits} hits / "
             f"{report.misses} misses"
         )

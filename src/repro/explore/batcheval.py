@@ -4,7 +4,7 @@
 compiled :class:`~repro.core.plan.Plan`: an override is a slot write
 that marks the rows reading that slot dirty, and a point recomputes
 only the dirty rows, the rows fed by them, fallback rows (models the
-plan cannot compile, such as the DC-DC converter) and their ancestors'
+plan cannot compile, such as a macro) and their ancestors'
 sums.  A ``VDD2`` step leaves every ``VDD1`` row untouched.
 
 The contract, relied on by the engine and enforced by the equivalence
@@ -18,13 +18,21 @@ earlier, which a recompute would reproduce.
 Sweep targets may be dotted paths (``custom.luminance_chip.lut.bits``)
 resolved by :func:`resolve_target` into the owning row scope, so sweeps
 reach row-local parameters that top-page overrides cannot shadow.
+
+:meth:`BatchEvaluator.columns` evaluates a whole chunk at once, with
+override columns bound to the same slots (see
+:meth:`repro.core.plan.Plan.columns`); where it returns, every point
+equals :meth:`BatchEvaluator.evaluate`'s, bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.design import Design, SubDesign
+from ..core.expressions import COLUMN
 from ..core.parameters import Parameter, ParameterScope
 from ..core.plan import Plan
 from ..errors import ExploreError, PowerPlayError
@@ -83,6 +91,15 @@ def resolve_target(design: Design, target: str) -> Tuple[ParameterScope, str]:
 _PASSES = {"power": "power", "area": "area", "delay": "timing"}
 
 
+def _validated(declaration: Parameter, column: np.ndarray) -> np.ndarray:
+    """``declaration.validate`` at every point, called once for each
+    distinct value (by bits, so ``0.0`` and ``-0.0`` stay apart)."""
+    keys = column.view(np.int64).tolist()
+    checked = {key: declaration.validate(value)
+               for key, value in dict(zip(keys, column.tolist())).items()}
+    return np.array(list(map(checked.__getitem__, keys)), dtype=np.float64)
+
+
 class BatchEvaluator:
     """Evaluate many points of one design bit-identically to the
     estimator (see the module docstring).
@@ -130,6 +147,16 @@ class BatchEvaluator:
             self._targets[target] = bound
         return bound
 
+    def _plan_for(self, pins: Sequence[Tuple[ParameterScope, str]]) -> Plan:
+        """The plan binding these structural targets as slots."""
+        if not pins:
+            return self._plan
+        key = frozenset((id(scope), name) for scope, name in pins)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = Plan(self.design, pins)
+        return plan
+
     def evaluate(self, overrides: Mapping[str, float]) -> Dict[str, float]:
         """Objective values at one point; the design is left unchanged."""
         writes = []
@@ -142,12 +169,7 @@ class BatchEvaluator:
             writes.append((scope, name, number))
             if structural:
                 pins.append((scope, name))
-        plan = self._plan
-        if pins:
-            key = frozenset((id(scope), name) for scope, name in pins)
-            plan = self._plans.get(key)
-            if plan is None:
-                plan = self._plans[key] = Plan(self.design, pins)
+        plan = self._plan_for(pins)
         hits, misses = plan.hits, plan.misses
         try:
             totals = plan.point(writes, self._passes)
@@ -155,6 +177,37 @@ class BatchEvaluator:
             self.hits += plan.hits - hits
             self.misses += plan.misses - misses
         return dict(zip(self.objectives, totals))
+
+    def columns(self, overrides: Mapping[str, np.ndarray],
+                count: int) -> Dict[str, np.ndarray]:
+        """Objective columns at ``count`` points from override columns,
+        in one walk of the power pass.
+
+        Raises where a point might not match :meth:`evaluate` — an
+        ``area`` or ``delay`` objective, a value ``validate`` refuses,
+        any failure in the pass — and then has changed nothing.
+        """
+        if self._passes != ("power",):
+            raise ExploreError("area and delay evaluate point by point")
+        writes = []
+        pins = []
+        for target, column in overrides.items():
+            scope, name, declaration, structural = self._bind(target)
+            if declaration is not None:
+                column = _validated(declaration, column)
+            writes.append((scope, name, column))
+            if structural:
+                pins.append((scope, name))
+        plan = self._plan_for(pins)
+        hits, misses = plan.hits, plan.misses
+        total = plan.columns(writes, count)
+        self.hits += plan.hits - hits
+        self.misses += plan.misses - misses
+        if type(total) is float:
+            total = np.full(count, total)
+        elif type(total) is not COLUMN:
+            raise ExploreError(f"a power total of type {type(total).__name__}")
+        return {"power": total}
 
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses}

@@ -17,6 +17,11 @@ bit-identical to serial :func:`repro.core.estimator.evaluate_power`
 calls (see :mod:`repro.explore.batcheval`), so serial, multi-process,
 and killed-then-resumed runs all export byte-identical results.
 
+A chunk of at least :data:`COLUMNAR_MIN_POINTS` points is evaluated in
+one columnar pass (every point's values as float64 columns through the
+compiled plan) and falls back to the per-point loop, the reference,
+wherever that pass raises; the rows are the same either way.
+
 ``mode``:
 
 * ``serial`` — one evaluator, in-process.
@@ -41,6 +46,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.design import Design
 from ..errors import ExploreError, PowerPlayError
 from ..library.designio import design_from_payload, design_to_payload
@@ -60,6 +67,10 @@ _CHUNK_BUCKETS = (
 
 #: ``on_chunk(key, indices, rows, seconds)`` — the checkpoint hook
 ChunkHook = Callable[[int, Sequence[int], List[dict], float], None]
+
+#: the shortest chunk evaluated as columns: below it the columnar pass
+#: costs more than the per-point loop (EXPERIMENTS.md C1)
+COLUMNAR_MIN_POINTS = 10
 
 
 def _metric_points():
@@ -99,12 +110,15 @@ class EngineReport:
     mode: str = "serial"
     #: processes that evaluated chunks (after the pool cap)
     workers: int = 1
+    #: points evaluated by a columnar pass (the rest ran point by point)
+    columnar: int = 0
 
     def to_payload(self) -> dict:
         return {
             "points": self.points,
             "errors": self.errors,
             "chunks": self.chunks,
+            "columnar": self.columnar,
             "hits": self.hits,
             "misses": self.misses,
             "seconds": self.seconds,
@@ -135,10 +149,15 @@ def _point_row(
     """Evaluate one point into its serializable result row.
 
     A :class:`PowerPlayError` (bad model input at this corner of the
-    space, say a zero divisor) marks the row failed and the sweep goes
-    on; anything else is an engine bug and propagates.
+    space, say a zero divisor, or a coupled value that fails there)
+    marks the row failed and the sweep goes on; anything else is an
+    engine bug and propagates.
     """
-    point = space.point(index)
+    try:
+        point = space.point(index)
+    except ExploreError as exc:  # a coupled value failed at this point
+        return {"index": index, "values": space.axis_values(index),
+                "overrides": {}, "objectives": {}, "error": str(exc)}
     row = {
         "index": index,
         "values": point["values"],
@@ -161,18 +180,60 @@ def _point_row(
     return row
 
 
+def _column_rows(
+    evaluator: BatchEvaluator,
+    space: ParameterSpace,
+    derived: Sequence[DerivedObjective],
+    indices: Sequence[int],
+) -> Optional[List[dict]]:
+    """The chunk's rows from one columnar pass, equal to
+    :func:`_point_row`'s; None where the pass raised."""
+    count = len(indices)
+    try:
+        with np.errstate(all="ignore"):
+            values, overrides = space.columns(indices)
+            objectives = evaluator.columns(overrides, count)
+            env = {**values, **overrides, **objectives}
+            for obj in derived:
+                objectives[obj.name] = env[obj.name] = obj.column(env, count)
+    except Exception:
+        return None
+    # an axis target's override is its axis value: one float, as point() gives
+    listed = {id(column): column.tolist()
+              for columns in (values, overrides, objectives)
+              for column in columns.values()}
+
+    def points(columns):
+        return zip(*[listed[id(column)] for column in columns.values()])
+
+    names, targets, measured = list(values), list(overrides), list(objectives)
+    return [
+        {"index": index, "values": dict(zip(names, point_values)),
+         "overrides": dict(zip(targets, point_overrides)),
+         "objectives": dict(zip(measured, point_objectives)), "error": ""}
+        for index, point_values, point_overrides, point_objectives in zip(
+            indices, points(values), points(overrides), points(objectives))
+    ]
+
+
 def _evaluate_chunk(
     evaluator: BatchEvaluator,
     space: ParameterSpace,
     derived: Sequence[DerivedObjective],
     indices: Sequence[int],
-) -> Tuple[List[dict], float, int, int]:
-    """``(rows, seconds, row hits, row misses)`` for one chunk."""
+) -> Tuple[List[dict], float, int, int, int]:
+    """``(rows, seconds, row hits, row misses, columnar points)`` for
+    one chunk."""
     hits0, misses0 = evaluator.hits, evaluator.misses
     began = time.perf_counter()
-    rows = [_point_row(evaluator, space, derived, index) for index in indices]
+    rows = None
+    if len(indices) >= COLUMNAR_MIN_POINTS:
+        rows = _column_rows(evaluator, space, derived, indices)
+    columnar = 0 if rows is None else len(rows)
+    if rows is None:
+        rows = [_point_row(evaluator, space, derived, index) for index in indices]
     return (rows, time.perf_counter() - began,
-            evaluator.hits - hits0, evaluator.misses - misses0)
+            evaluator.hits - hits0, evaluator.misses - misses0, columnar)
 
 
 # -- process-mode workers ---------------------------------------------------
@@ -249,12 +310,13 @@ def run_chunks(
     report = EngineReport(mode=mode, workers=workers)
     began = time.perf_counter()
 
-    def _record(key, indices, rows, seconds, hits, misses):
+    def _record(key, indices, rows, seconds, hits, misses, columnar):
         failed = sum(1 for row in rows if row["error"])
         records[key] = {"indices": indices, "rows": rows, "seconds": seconds}
         report.points += len(rows)
         report.errors += failed
         report.chunks += 1
+        report.columnar += columnar
         report.hits += hits
         report.misses += misses
         _observe_chunk(key, rows, failed, seconds)
@@ -292,7 +354,7 @@ def run_chunks(
     _metric_memo().inc(report.misses, kind="miss")
     _LOG.info(
         "run", mode=mode, workers=workers, chunks=report.chunks,
-        points=report.points, errors=report.errors,
+        points=report.points, columnar=report.columnar, errors=report.errors,
         hits=report.hits, misses=report.misses,
         seconds=round(report.seconds, 4),
     )

@@ -4,8 +4,9 @@ Random designs exercise every evaluation route the walker had: nested
 sub-designs, mount-point inheritance, shadowed names, inherited
 formulas re-evaluated from child scopes, power and area feeds, quantity
 > 1, measured rows, rows that raise, negative-power rows (a ``sum`` vs
-``+=`` swap shows there on Python 3.12) and fallback rows (the DC-DC
-converter, a macro, a callable that iterates its environment).  Reports
+``+=`` swap shows there on Python 3.12), the compiled DC-DC converter
+(constant and curve efficiency) and fallback rows (a macro, a callable
+that iterates its environment).  Reports
 are compared field by field on exact float bits; failures on exception
 class and message.  The sweep half drives :class:`BatchEvaluator`
 through row-major and shuffled override sequences against the walker
@@ -15,6 +16,7 @@ under :func:`scope_overrides`.
 import contextlib
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.design import Design, SubDesign
@@ -40,6 +42,7 @@ from repro.core.model import (
 )
 from repro.core.expressions import compile_expression as E
 from repro.core.parameters import Parameter
+from repro.core.plan import Plan
 from repro.errors import PowerPlayError
 from repro.explore.batcheval import BatchEvaluator, resolve_target
 from repro.models.converter import DCDCConverterModel, DEFAULT_BUCK_CURVE
@@ -112,6 +115,14 @@ def _number(rng):
     return rng.choice(["1.5", "2", "0.5", "253f", "3n", "1e-3", "0", "4"])
 
 
+#: every function, with how many arguments to give it
+FUNCTION_ARGS = {
+    "abs": 1, "sqrt": 1, "exp": 1, "ln": 1, "log": 2, "log2": 1, "log10": 1,
+    "floor": 1, "ceil": 1, "round": 1, "min": 2, "max": 3, "pow": 2, "sin": 1,
+    "cos": 1, "tan": 1, "atan": 1, "sum": 3, "avg": 2, "if": 3, "clamp": 3,
+}
+
+
 def _expr(rng, names, depth=0):
     roll = rng.random()
     if depth > 2 or roll < 0.35:
@@ -119,16 +130,20 @@ def _expr(rng, names, depth=0):
             return _number(rng)
         pool = names + list(RARE) if rng.random() < 0.03 else names
         return rng.choice(pool)
-    if roll < 0.75:
-        op = rng.choice(["+", "-", "*", "*", "/", "^"])
-        right = "2" if op == "^" else _expr(rng, names, depth + 1)
+    if roll < 0.7:
+        op = rng.choice(["+", "-", "*", "*", "/", "^", "%", "<", ">=", "==", "!=",
+                         "and", "or"])
+        right = rng.choice(["2", "1.3", "0.5"]) if op == "^" else _expr(rng, names, depth + 1)
         return f"({_expr(rng, names, depth + 1)} {op} {right})"
-    if roll < 0.85:
-        func = rng.choice(["min", "max", "abs", "sqrt"])
-        args = [_expr(rng, names, depth + 1) for _ in range(2 if func in ("min", "max") else 1)]
+    if roll < 0.78:
+        func = rng.choice(["min", "max", "abs", "sqrt"] if rng.random() < 0.5
+                          else sorted(FUNCTION_ARGS))
+        args = [_expr(rng, names, depth + 1) for _ in range(FUNCTION_ARGS[func])]
         return f"{func}({', '.join(args)})"
-    if roll < 0.93:
+    if roll < 0.83:
         return f"-{_expr(rng, names, depth + 1)}"
+    if roll < 0.86:
+        return f"(not {_expr(rng, names, depth + 1)})"
     return (f"({_expr(rng, names, depth + 1)} > 1 ? {_expr(rng, names, depth + 1)}"
             f" : {_expr(rng, names, depth + 1)})")
 
@@ -274,6 +289,27 @@ def test_paper_designs_match_the_tree_walker():
 
     for build in (build_infopad, build_figure1_design):
         assert_same_reports(build())
+
+
+@pytest.mark.parametrize("curve", [None, DEFAULT_BUCK_CURVE])
+@pytest.mark.parametrize("load", ["0.5", "-0.25", "0", "missing"])
+@pytest.mark.parametrize("eta", [0.85, "x / 2", "x * 2", "missing + 1", None])
+def test_converter_compiles_and_matches_the_walker(curve, load, eta):
+    """EQ 18/19 compiled, in both forms: the walker's numbers, errors in
+    ``power()``'s order and ``breakdown()``'s details key."""
+    design = Design("supply")
+    design.scope.set("x", 0.9)
+    design.add("load", ExpressionPowerModel("load", load))
+    params = {} if eta is None else {"eta": eta}
+    design.add("dcdc", DCDCConverterModel("dcdc", 0.85, curve), params=params,
+               power_feeds=["load"])
+    # standalone: P_load from the scope, or missing altogether
+    design.add("bare", DCDCConverterModel("bare", 0.9, curve),
+               params={"P_load": 0.3} if load != "missing" else {})
+    plan = Plan(design)
+    plan.root("power")
+    assert plan._volatile == []  # no fallback rows
+    assert_same_reports(design)
 
 
 # -- sweeps -----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.explore import (
 )
 from repro.errors import ExploreError
 from repro.explore.engine import run_chunks, run_job
+from repro.explore.space import CoupledParam
 
 ADDER = TemplatePowerModel(
     "adder",
@@ -92,6 +93,23 @@ class TestSweepCorrectness:
         good = [row for row in outcome.rows if not row["error"]]
         assert len(errors) == 1 and errors[0]["values"]["VDD"] == 2.0
         assert len(good) == 2
+        assert outcome.report.errors == 1
+
+    @pytest.mark.parametrize("chunk_size", [1, 64])
+    def test_failing_coupled_value_fails_only_its_row(self, chunk_size):
+        space = ParameterSpace(
+            [Axis("bitwidth", tuple(float(b) for b in range(8, 24)))],
+            [CoupledParam("mem.words", "4096 / abs(bitwidth - 12)")],
+        )
+        outcome = run_sweep(make_design(), space, chunk_size=chunk_size)
+        failed = outcome.rows[4]
+        assert failed == {
+            "index": 4, "values": {"bitwidth": 12.0}, "overrides": {},
+            "objectives": {},
+            "error": "coupled parameter 'mem.words' = '4096 / abs(bitwidth - 12)'"
+                     " failed: division by zero",
+        }
+        assert all(row["objectives"] for row in outcome.rows if row is not failed)
         assert outcome.report.errors == 1
 
     def test_on_chunk_fires_per_contiguous_chunk_in_order(self):

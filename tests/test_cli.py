@@ -119,6 +119,29 @@ class TestEngineSweep:
         assert code == 0
         assert out.strip().splitlines()[0] == "VDD,power_w"
 
+    def test_failing_coupled_value_fails_only_its_row(self, capsys, tmp_path):
+        csv_out = tmp_path / "rows.csv"
+        code, out, _err = run(
+            capsys, "sweep", "infopad", "--axis", "bw=8,12",
+            "--couple", "custom_hardware.luminance_chip.write_bank.bits"
+                        "=96 / (bw - 8)",
+            "--csv-out", str(csv_out),
+        )
+        assert code == 0
+        assert "1 point(s) failed" in out
+        lines = csv_out.read_text().splitlines()
+        assert lines[1].startswith("0,8.0,,") and "division by zero" in lines[1]
+        assert lines[2].startswith("1,12.0,") and lines[2].endswith(",")
+
+    def test_coupled_typo_stops_before_any_work(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "infopad", "--axis", "bw=8,12",
+            "--couple", "custom_hardware.luminance_chip.write_bank.bits"
+                        "=bww / 2",
+        )
+        assert code == 2
+        assert "reads 'bww'" in err and "ParameterSpace" not in out
+
     def test_neither_form_is_an_error(self, capsys):
         code, _out, err = run(capsys, "sweep", "fig3")
         assert code == 2

@@ -77,6 +77,7 @@ class TestValidationNever500:
             ("objectives", "power,speed", "unknown objective"),
             ("derive", "broken spec", "name=expression"),
             ("couple", "wb=bw +* 2", "bad expression"),
+            ("couple", "wb=bww / 2", "reads &#x27;bww&#x27;"),
             ("mode", "thread", "choose serial or process"),
         ],
     )
