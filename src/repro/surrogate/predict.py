@@ -1,10 +1,11 @@
 """Vectorized lazy prediction over a full enumeration.
 
 A million-point space is never materialized: point indices stream
-through in fixed-size windows, each window's axis values are built by
-vectorized row-major arithmetic (``values[(index // stride) % len]``),
-every fitted objective is predicted as one matrix product, and only two
-small running structures survive the pass:
+through in fixed-size windows, each window's axis values are built as
+columns by :meth:`ParameterSpace.axis_columns` (the decoder the sweep
+engine's columnar pass uses), every fitted objective is predicted as
+one matrix product, and only two small running structures survive the
+pass:
 
 * the **predicted Pareto front** — merged chunk by chunk through
   :func:`repro.core.optimize.pareto_mask`, the one dominance test every
@@ -30,7 +31,6 @@ from ..core.optimize import pareto_mask
 from ..errors import PowerPlayError, SurrogateError
 from ..explore.space import DerivedObjective, ParameterSpace
 from .fit import SurrogateFit, _TINY
-from .sampling import axis_strides
 
 #: default streaming window; ~an (n, terms) matrix product per window
 DEFAULT_CHUNK = 65536
@@ -45,15 +45,7 @@ def axis_matrix(
         raise SurrogateError(
             f"window [{start}, {stop}) out of range 0..{len(space)}"
         )
-    indices = np.arange(start, stop, dtype=np.int64)
-    strides = axis_strides(space)
-    columns = [
-        np.asarray(axis.values, dtype=float)[
-            (indices // stride) % len(axis)
-        ]
-        for axis, stride in zip(space.axes, strides)
-    ]
-    return np.column_stack(columns) if columns else np.empty((0, 0))
+    return np.column_stack(list(space.axis_columns(range(start, stop)).values()))
 
 
 @dataclass

@@ -14,6 +14,7 @@ from repro.explore import (
     DerivedObjective,
     JobStore,
     ParameterSpace,
+    coupled_from_spec,
     export_csv,
     export_json,
     run_sweep,
@@ -94,6 +95,36 @@ class TestStore:
         assert not path.exists()
         assert path.with_suffix(".json.corrupt").exists()
         assert fresh.quarantined
+
+    def test_saved_coupling_reading_a_non_axis_name_still_loads(self, tmp_path):
+        # a coupled expression may read a name that is no axis in a
+        # branch no point takes; a checkpoint holding one loads and runs
+        # as it was saved instead of being quarantined
+        def space(source):
+            return ParameterSpace(
+                [Axis("VDD", (1.0, 1.2, 1.5))],
+                [coupled_from_spec(f"alu.bitwidth={source}")],
+            )
+
+        job = JobStore(tmp_path).create(
+            make_design(), space("VDD > 0 ? 8 : 16"), chunk_size=2
+        )
+        path = tmp_path / f"{job.job_id}.json"
+        payload = json.loads(path.read_text())
+        payload["space"]["coupled"][0]["source"] = "VDD > 0 ? 8 : typo"
+        path.write_text(json.dumps(payload))
+        assert [listed.job_id for listed in JobStore(tmp_path).list_jobs()] == [
+            job.job_id]
+        fresh = JobStore(tmp_path)
+        revived = fresh.job(job.job_id)
+        assert not fresh.quarantined
+        assert revived.space.coupled[0].source == "VDD > 0 ? 8 : typo"
+        run_job(revived)
+        assert revived.state == "done"
+        expected = run_sweep(make_design(), space("8"), chunk_size=2).rows
+        assert [row["objectives"] for row in revived.result_rows()] == [
+            row["objectives"] for row in expected]
+        assert all(not row["error"] for row in revived.result_rows())
 
     def test_no_stray_temp_files_after_saves(self, tmp_path):
         store = JobStore(tmp_path)
