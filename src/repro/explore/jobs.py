@@ -585,7 +585,7 @@ class JobStore:
 
     def save_job(self, job: SweepJob) -> None:
         """Atomically persist one job's checkpoint (crash-safe)."""
-        payload = json.dumps(job.to_payload(), indent=1, sort_keys=True)
+        payload = json.dumps(job.to_payload(), sort_keys=True)
         with self.backend.lock(self.NAMESPACE, job.job_id):
             self.backend.save(self.NAMESPACE, job.job_id, payload)
         _metric_jobs().inc(op="save")

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..errors import SessionError
 from ..web.app import Application
 from .driver import InProcessTarget, RunResult, run_script
 from .workload import WorkloadScript
@@ -55,16 +56,21 @@ def capture_state(
     """Snapshot everything the oracle compares, per user.
 
     ``session`` is the user's in-memory payload; ``disk`` is the parsed
-    state file (or an ``error`` marker when missing/unreadable — which
-    the verifier reports as a torn-file finding).
+    state file with its journal folded in (or an ``error`` marker when
+    missing, unreadable or unfoldable — which the verifier reports as a
+    torn-file finding).
     """
     state: Dict[str, dict] = {}
     for user in script.users:
         session = application.users.session(user)
         with session.lock:
             payload = session.to_payload()
-        text = application.users.read_disk(user)
         disk: object
+        try:
+            text = application.users.read_disk(user)
+        except SessionError as exc:
+            state[user] = {"session": payload, "disk": {"error": str(exc)}}
+            continue
         if text is None:
             disk = {"error": "state file missing"}
         else:

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -290,7 +289,6 @@ class HistoryStore:
         self.quarantined: List[Tuple[str, str]] = []
         self._lock = threading.RLock()
         self._active: List[Tuple[float, Dict[str, str], Dict[str, float]]] = []
-        self._journal_handle = None
         self.root.mkdir(parents=True, exist_ok=True)
         self.segments_dir.mkdir(parents=True, exist_ok=True)
         self._segments: Dict[str, _Segment] = {}
@@ -325,27 +323,20 @@ class HistoryStore:
             (seg.end for seg in self._segments.values()
              if seg.level == "raw"), default=-math.inf,
         )
-        torn = False
-        if self.journal_path.exists():
-            raw = self.journal_path.read_bytes()
-            for line in raw.split(b"\n"):
-                if not line.strip():
-                    continue
-                try:
-                    payload = json.loads(line.decode("utf-8"))
-                    when = float(payload["t"])
-                    kinds = {
-                        str(k): str(v) for k, v in payload["f"].items()
-                    }
-                    flat = {
-                        str(k): float(v) for k, v in payload["s"].items()
-                    }
-                except (ValueError, KeyError, TypeError,
-                        UnicodeDecodeError):
-                    torn = True
-                    break
-                if when > sealed_until:
-                    self._active.append((when, kinds, flat))
+        lines, torn = fsio.read_lines(self.journal_path)
+        for line in lines:
+            if not line.strip():
+                continue
+            try:
+                payload = json.loads(line.decode("utf-8"))
+                when = float(payload["t"])
+                kinds = {str(k): str(v) for k, v in payload["f"].items()}
+                flat = {str(k): float(v) for k, v in payload["s"].items()}
+            except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+                torn = True
+                break
+            if when > sealed_until:
+                self._active.append((when, kinds, flat))
         if torn:
             _LOG.warning(
                 "journal_torn_tail", kept_rounds=len(self._active),
@@ -355,10 +346,9 @@ class HistoryStore:
     def _rewrite_journal(self) -> None:
         """Persist the in-memory rounds as the whole journal (atomic)."""
         text = "".join(
-            self._journal_line(when, kinds, flat)
+            self._journal_line(when, kinds, flat) + "\n"
             for when, kinds, flat in self._active
         )
-        self._close_journal()
         _atomic_write(self.journal_path, text)
 
     @staticmethod
@@ -368,19 +358,10 @@ class HistoryStore:
         return json.dumps(
             {"t": _round_t(when), "f": dict(kinds), "s": dict(flat)},
             sort_keys=True,
-        ) + "\n"
-
-    def _close_journal(self) -> None:
-        if self._journal_handle is not None:
-            try:
-                self._journal_handle.close()
-            except OSError:  # pragma: no cover - close after fs error
-                pass
-            self._journal_handle = None
+        )
 
     def close(self) -> None:
-        with self._lock:
-            self._close_journal()
+        """Nothing to release: each append opens and closes the journal."""
 
     def _quarantine(self, path: Path, reason: str) -> None:
         try:
@@ -414,15 +395,10 @@ class HistoryStore:
                 # interleave samples out of order inside a segment
                 now = math.nextafter(self._active[-1][0], math.inf)
             kinds, flat = _flatten_state(state)
-            line = self._journal_line(now, kinds, flat)
-            if self._journal_handle is None:
-                self._journal_handle = open(
-                    self.journal_path, "a", encoding="utf-8"
-                )
-            self._journal_handle.write(line)
-            self._journal_handle.flush()
-            if self.config.fsync_journal:
-                os.fsync(self._journal_handle.fileno())
+            fsio.append_line(
+                self.journal_path, self._journal_line(now, kinds, flat),
+                fsync=self.config.fsync_journal,
+            )
             self._active.append((now, kinds, flat))
             _metric_rounds().inc()
             if len(self._active) >= self.config.seal_every:
@@ -451,7 +427,6 @@ class HistoryStore:
                 path, "raw", self._active[0][0], self._active[-1][0]
             )
             self._active = []
-            self._close_journal()
             try:
                 self.journal_path.unlink()
             except FileNotFoundError:  # pragma: no cover

@@ -11,11 +11,9 @@ namespace    key                            written by
 ``registry``  ``kind--name--vN`` / ``pins``  :class:`repro.registry.store.MirrorStore`
 ===========  =============================  ===========================
 
-(The telemetry history's sealed segments follow the same atomic-
-document discipline via :mod:`repro.state.fsio`, but its fsynced
-append-only journal is file-native by design — row-per-append storage
-would change its torn-tail recovery semantics, so the history store
-stays on the shared file rituals in both backends.)
+(The telemetry history is not a backend document: its sealed
+segments and its ``active.jsonl`` journal use :mod:`repro.state.fsio`'s
+file rituals directly, in both backends.)
 
 A :class:`StateBackend` stores those documents.  The contract every
 implementation must honor (and that ``tests/state``'s conformance
@@ -24,33 +22,45 @@ suite enforces against all of them):
 * **atomic, durable saves** — a reader (or a process that crashed and
   restarted) sees either the previous complete document or the new
   complete document, never a torn or interleaved one;
+* **a per-document append journal** — :meth:`append` adds one record
+  (a single line of text) and is durable before it returns;
+  :meth:`journal` returns, in order, the complete records appended
+  since the document's last :meth:`save`.  ``save`` is the *fold*: the
+  caller passes a snapshot that already contains the records, and the
+  backend swaps in the snapshot and clears the journal so that a crash
+  at any instant leaves either the old snapshot with every record or
+  the new snapshot with none to replay.  A record torn by a crash
+  mid-append is dropped (and logged), and cut off before the next
+  append;
+* **quarantine, never silent loss** — when a caller finds a document
+  (or its journal) unusable it calls :meth:`quarantine`; the snapshot
+  and the journal are moved aside together (file: ``*.corrupt[-N]``;
+  SQLite: quarantine rows), recorded in :attr:`quarantined`, and the
+  key reads absent afterwards;
 * **last-writer-wins per key**, with :meth:`lock` providing the mutual
   exclusion a read-modify-write cycle needs *within* a process (cross-
   process exclusion is structural: the pre-fork front shards users so
   one worker owns each key — see :mod:`repro.web.prefork`);
-* **quarantine, never silent loss** — when a caller finds a document
-  unparseable it calls :meth:`quarantine`; the damaged payload is
-  moved aside (file: ``*.corrupt[-N]``; SQLite: a quarantine table),
-  recorded in :attr:`quarantined`, and the key reads as absent
-  afterwards;
 * **no invented state** — :meth:`load` returns ``None`` for an absent
   key rather than raising, so stores can lazily create.
 
 Two stdlib-only implementations ship:
 
-* :class:`~repro.state.filestate.FileBackend` — the historical layout,
-  extracted verbatim: one ``<key>.json`` per document, mkstemp + fsync
-  + atomic rename + directory fsync (:mod:`repro.state.fsio`).
+* :class:`~repro.state.filestate.FileBackend` — the historical layout:
+  one ``<key>.json`` per document, mkstemp + fsync + atomic rename +
+  directory fsync, and an fsynced ``<key>.journal`` beside it
+  (:mod:`repro.state.fsio`).
 * :class:`~repro.state.sqlitestate.SQLiteBackend` — one SQLite
-  database in WAL mode with per-key rows; saves are single-row
-  transactions, so writers block on a row, not on a global store lock.
+  database in WAL mode with per-key rows; a save is one transaction
+  that replaces the row and deletes the key's journal rows, so writers
+  block on a row, not on a global store lock.
 """
 
 from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import StateError
 
@@ -84,7 +94,19 @@ class StateBackend:
         raise NotImplementedError
 
     def delete(self, namespace: str, key: str) -> bool:
-        """Remove one document; ``True`` if it existed."""
+        """Remove one document and its journal; ``True`` if either existed."""
+        raise NotImplementedError
+
+    def append(self, namespace: str, key: str, text: str) -> None:
+        """Durably add one record to the document's journal.
+
+        ``text`` is one line (no newline).  The record is on disk
+        before this returns.
+        """
+        raise NotImplementedError
+
+    def journal(self, namespace: str, key: str) -> List[str]:
+        """The complete records appended since the last :meth:`save`."""
         raise NotImplementedError
 
     def keys(self, namespace: str) -> List[str]:
@@ -96,13 +118,15 @@ class StateBackend:
         raise NotImplementedError
 
     def quarantine(self, namespace: str, key: str, reason: str) -> str:
-        """Move a damaged document aside; returns a location label.
+        """Move a damaged document and its journal aside; returns a
+        location label.
 
-        After this returns, :meth:`load` yields ``None`` for the key
-        and the damaged bytes are preserved at the returned location
-        (a file path for the file backend, a ``namespace/key@qN`` row
-        label for SQLite).  Quarantining an absent key is a no-op that
-        returns an empty string.
+        After this returns, :meth:`load` yields ``None`` and
+        :meth:`journal` ``[]`` for the key, and the damaged bytes are
+        preserved at the returned location (a file path for the file
+        backend, a ``namespace/key@qN`` row label for SQLite; the
+        journal goes beside it).  Quarantining a key with neither is a
+        no-op that returns an empty string.
         """
         raise NotImplementedError
 

@@ -1,10 +1,11 @@
-"""The file backend: the historical on-disk layout, extracted.
+"""The file backend: the historical on-disk layout.
 
-One ``<key>.json`` per document.  The layout is *exactly* what the
-stores wrote before the :class:`~repro.state.backend.StateBackend`
-interface existed, so a state directory created by any earlier version
-opens unchanged under this backend — and files this backend writes are
-indistinguishable from the old stores' files:
+One ``<key>.json`` per document.  The layout is what the stores wrote
+before the :class:`~repro.state.backend.StateBackend` interface
+existed, so a state directory created by any earlier version opens
+unchanged under this backend.  The encoding is not kept: user
+documents and job checkpoints are now written compact (no indent),
+which every version's ``json.loads`` reads.
 
 * ``users``    -> ``<root>/<user>.json`` (sessions live at the root,
   as they have since PR 1);
@@ -20,13 +21,24 @@ of *different* keys proceed in parallel, and concurrent saves of the
 *same* key are last-writer-wins with no interleaving — the old global
 store lock only ever protected Python dict state, which now lives in
 the stores, not the backend.
+
+A document's journal is ``<key>.journal`` beside it, an
+:func:`~repro.state.fsio.append_line` file.  Its first line names the
+SHA-256 of the snapshot it extends (``{"extends": "<hex>"}``; empty
+when there is none).  :meth:`FileBackend.save` replaces the snapshot,
+then unlinks the journal.  A crash between the two leaves a journal
+whose header names the old snapshot: :meth:`FileBackend.journal`
+ignores it and the next append replaces it, so a folded record is
+never replayed.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import StateError
 from . import fsio
@@ -40,6 +52,13 @@ _KEY_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.@-]{0,127}\Z")
 #: namespace -> subdirectory relative to the root.  ``.`` means the
 #: root itself (the sessions' historical home).
 DEFAULT_LAYOUT: Mapping[str, str] = {"users": "."}
+
+
+def _log():
+    # imported on use: repro.obs imports this package
+    from ..obs.logs import get_logger
+
+    return get_logger("state")
 
 
 def validate_doc_key(key: str) -> str:
@@ -69,6 +88,9 @@ class FileBackend(StateBackend):
         self._layout: Dict[str, str] = dict(
             DEFAULT_LAYOUT if layout is None else layout
         )
+        #: (namespace, key) -> the header of a journal this backend has
+        #: checked against the current snapshot (absent, or extends it)
+        self._headers: Dict[Tuple[str, str], str] = {}
 
     # -- paths -------------------------------------------------------------
 
@@ -85,10 +107,15 @@ class FileBackend(StateBackend):
         oracle use this to corrupt/inspect raw bytes)."""
         return self._dir(namespace) / f"{validate_doc_key(key)}.json"
 
+    def journal_path(self, namespace: str, key: str) -> Path:
+        """Where one document's journal lives (file backend only)."""
+        return self._dir(namespace) / f"{validate_doc_key(key)}.journal"
+
     # -- documents ---------------------------------------------------------
 
     def save(self, namespace: str, key: str, text: str) -> None:
         fsio.atomic_write_text(self.doc_path(namespace, key), text)
+        self._drop_journal(namespace, key)
 
     def load(self, namespace: str, key: str) -> Optional[str]:
         try:
@@ -97,11 +124,74 @@ class FileBackend(StateBackend):
             return None
 
     def delete(self, namespace: str, key: str) -> bool:
+        existed = self._drop_journal(namespace, key)
         try:
             self.doc_path(namespace, key).unlink()
             return True
         except FileNotFoundError:
+            return existed
+
+    # -- journal -----------------------------------------------------------
+
+    def _header(self, namespace: str, key: str) -> str:
+        """The first line of a journal extending the current snapshot."""
+        text = self.load(namespace, key)
+        digest = (
+            "" if text is None
+            else hashlib.sha256(text.encode("utf-8")).hexdigest()
+        )
+        return json.dumps({"extends": digest})
+
+    def _drop_journal(self, namespace: str, key: str) -> bool:
+        self._headers.pop((namespace, key), None)
+        try:
+            self.journal_path(namespace, key).unlink()
+            return True
+        except FileNotFoundError:
             return False
+
+    def append(self, namespace: str, key: str, text: str) -> None:
+        if "\n" in text:
+            raise StateError("a journal record must be a single line")
+        ref = (namespace, key)
+        path = self.journal_path(namespace, key)
+        header = self._headers.get(ref)
+        if header is None:
+            header = self._header(namespace, key)
+            lines, _torn = fsio.read_lines(path)
+            if lines and lines[0] != header.encode("utf-8"):
+                path.unlink()  # stale: extends a snapshot since replaced
+            self._headers[ref] = header
+        try:
+            fsio.append_line(path, text, header=header)
+        except BaseException:
+            # re-check the file before the next append
+            self._headers.pop(ref, None)
+            raise
+
+    def journal(self, namespace: str, key: str) -> List[str]:
+        lines, torn = fsio.read_lines(self.journal_path(namespace, key))
+        if torn:
+            _log().warning(
+                "journal_torn_tail", namespace=namespace, key=key,
+                kept_records=max(0, len(lines) - 1),
+            )
+        if not lines:
+            return []
+        header = self._header(namespace, key)
+        if lines[0] != header.encode("utf-8"):
+            _log().warning(
+                "journal_stale", namespace=namespace, key=key,
+                ignored_records=len(lines) - 1,
+            )
+            return []
+        self._headers[(namespace, key)] = header
+        try:
+            return [line.decode("utf-8") for line in lines[1:]]
+        except UnicodeDecodeError as exc:
+            raise StateError(
+                f"journal of {namespace}/{key} is not UTF-8: {exc}"
+            ) from None
 
     def keys(self, namespace: str) -> List[str]:
         return sorted(
@@ -117,13 +207,19 @@ class FileBackend(StateBackend):
             return None
 
     def quarantine(self, namespace: str, key: str, reason: str) -> str:
-        path = self.doc_path(namespace, key)
-        try:
-            target = fsio.quarantine_file(path)
-        except OSError:
+        self._headers.pop((namespace, key), None)
+        moved = []
+        for path in (
+            self.doc_path(namespace, key), self.journal_path(namespace, key)
+        ):
+            try:
+                moved.append(str(fsio.quarantine_file(path)))
+            except OSError:
+                pass
+        if not moved:
             return ""
-        self.quarantined.append((namespace, key, str(target), reason))
-        return str(target)
+        self.quarantined.append((namespace, key, moved[0], reason))
+        return moved[0]
 
     # -- lifecycle / health ------------------------------------------------
 

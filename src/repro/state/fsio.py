@@ -22,10 +22,17 @@ same three rituals:
   endpoints can report a read-only disk before a save fails in a
   request handler.
 
-This module is now the single home of those rituals; the stores (and
+* **line journal**: an append-only file of newline-terminated records,
+  each fsynced before :func:`append_line` returns.  A crash can tear
+  only the record being written, and only at the end of the file;
+  :func:`read_lines` drops that torn tail and :func:`append_line` cuts
+  it off before writing, so the next record starts a line of its own.
+  The telemetry history's ``active.jsonl`` and the file backend's
+  per-document journals both use it.
+
+This module is the single home of those rituals; the stores (and
 the :class:`~repro.state.filestate.FileBackend` that fronts them) call
-in here.  Behavior is bit-for-bit what the stores did individually —
-same temp-name shape, same fsync points, same quarantine naming.
+in here.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
+from typing import List, Tuple
 
 
 def fsync_dir(directory: Path) -> None:
@@ -109,3 +117,50 @@ def probe_writable(directory: Path) -> bool:
         return True
     except OSError:
         return False
+
+
+def append_line(
+    path: Path, line: str, fsync: bool = True, header: str = ""
+) -> None:
+    """Append one record to the line journal at ``path``, durably.
+
+    ``line`` must not contain a newline; it is written with one.  When
+    the journal is absent or empty, ``header`` (if given) is written
+    first as its own line, in the same write.  A torn tail left by a
+    crash is cut off before the record is written.  The record is on
+    disk (fsynced, unless ``fsync=False``) before this returns; creating
+    the journal also fsyncs its directory.
+    """
+    path = Path(path)
+    fd = os.open(str(path), os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o600)
+    try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            kept = os.pread(fd, size, 0).rfind(b"\n") + 1
+            os.ftruncate(fd, kept)
+            size = kept
+        text = f"{header}\n{line}\n" if header and not size else f"{line}\n"
+        data = memoryview(text.encode("utf-8"))
+        while data:
+            data = data[os.write(fd, data):]
+        if fsync:
+            os.fsync(fd)
+    finally:
+        os.close(fd)
+    if fsync and not size:
+        fsync_dir(path.parent)
+
+
+def read_lines(path: Path) -> Tuple[List[bytes], bool]:
+    """A line journal's complete records and whether a torn tail was dropped.
+
+    A record is complete when its newline reached the file; bytes after
+    the last newline are the one record a crash cut short mid-append.
+    An absent journal reads as no records.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError:
+        return [], False
+    body, newline, tail = raw.rpartition(b"\n")
+    return (body.split(b"\n") if newline else []), bool(tail)

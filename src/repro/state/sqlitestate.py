@@ -13,10 +13,15 @@ the contract:
   commit, matching the file backend's fsync-before-rename discipline,
   so a ``kill -9`` at any instant yields the previous or the new
   complete row — never a torn one (SQLite's atomic-commit guarantee);
+* a journal record is one row of a ``journal`` table, inserted in its
+  own fsynced commit; :meth:`SQLiteBackend.save` deletes the key's
+  journal rows in the same transaction that replaces its document, so
+  there is no crash window in which a folded record survives;
 * quarantine moves a row the caller found unparseable into a
   ``quarantine`` table (bytes preserved, key reads absent afterwards)
   and labels it ``namespace/key@qN`` — the moral twin of the file
-  backend's ``*.corrupt[-N]`` rename.
+  backend's ``*.corrupt[-N]`` rename.  The journal's records go into a
+  second quarantine row keyed ``<key>.journal``.
 
 Connections are per-thread (SQLite connections are not thread-safe;
 WAL is explicitly multi-connection), with a generous busy timeout so
@@ -46,6 +51,13 @@ CREATE TABLE IF NOT EXISTS documents (
     updated_at REAL NOT NULL,
     PRIMARY KEY (namespace, key)
 );
+CREATE TABLE IF NOT EXISTS journal (
+    seq        INTEGER PRIMARY KEY AUTOINCREMENT,
+    namespace  TEXT NOT NULL,
+    key        TEXT NOT NULL,
+    body       TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS journal_by_key ON journal (namespace, key, seq);
 CREATE TABLE IF NOT EXISTS quarantine (
     seq            INTEGER PRIMARY KEY AUTOINCREMENT,
     namespace      TEXT NOT NULL,
@@ -134,10 +146,20 @@ class SQLiteBackend(StateBackend):
                 "updated_at = excluded.updated_at",
                 (namespace, key, text, self.clock()),
             )
+            self._clear_journal(connection, namespace, key)
             connection.execute("COMMIT")
         except BaseException:
             connection.execute("ROLLBACK")
             raise
+
+    @staticmethod
+    def _clear_journal(
+        connection: sqlite3.Connection, namespace: str, key: str
+    ) -> int:
+        return connection.execute(
+            "DELETE FROM journal WHERE namespace = ? AND key = ?",
+            (namespace, key),
+        ).rowcount
 
     def load(self, namespace: str, key: str) -> Optional[str]:
         row = self._connection().execute(
@@ -154,11 +176,30 @@ class SQLiteBackend(StateBackend):
                 "DELETE FROM documents WHERE namespace = ? AND key = ?",
                 (namespace, key),
             )
+            records = self._clear_journal(connection, namespace, key)
             connection.execute("COMMIT")
         except BaseException:
             connection.execute("ROLLBACK")
             raise
-        return cursor.rowcount > 0
+        return cursor.rowcount > 0 or records > 0
+
+    def append(self, namespace: str, key: str, text: str) -> None:
+        validate_doc_key(key)
+        if "\n" in text:
+            raise StateError("a journal record must be a single line")
+        # one statement outside BEGIN is its own (fsynced) transaction
+        self._connection().execute(
+            "INSERT INTO journal (namespace, key, body) VALUES (?, ?, ?)",
+            (namespace, key, text),
+        )
+
+    def journal(self, namespace: str, key: str) -> List[str]:
+        rows = self._connection().execute(
+            "SELECT body FROM journal WHERE namespace = ? AND key = ? "
+            "ORDER BY seq",
+            (namespace, key),
+        ).fetchall()
+        return [row[0] for row in rows]
 
     def keys(self, namespace: str) -> List[str]:
         rows = self._connection().execute(
@@ -183,24 +224,32 @@ class SQLiteBackend(StateBackend):
                 "SELECT body FROM documents WHERE namespace = ? AND key = ?",
                 (namespace, key),
             ).fetchone()
-            if row is None:
+            records = self.journal(namespace, key)
+            moved = [] if row is None else [(key, row[0])]
+            if records:
+                moved.append((f"{key}.journal", "\n".join(records)))
+            if not moved:
                 connection.execute("COMMIT")
                 return ""
-            cursor = connection.execute(
-                "INSERT INTO quarantine "
-                "(namespace, key, body, reason, quarantined_at) "
-                "VALUES (?, ?, ?, ?, ?)",
-                (namespace, key, row[0], reason, self.clock()),
-            )
+            seqs = [
+                connection.execute(
+                    "INSERT INTO quarantine "
+                    "(namespace, key, body, reason, quarantined_at) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    (namespace, name, body, reason, self.clock()),
+                ).lastrowid
+                for name, body in moved
+            ]
             connection.execute(
                 "DELETE FROM documents WHERE namespace = ? AND key = ?",
                 (namespace, key),
             )
+            self._clear_journal(connection, namespace, key)
             connection.execute("COMMIT")
         except BaseException:
             connection.execute("ROLLBACK")
             raise
-        label = f"{namespace}/{key}@q{cursor.lastrowid}"
+        label = f"{namespace}/{moved[0][0]}@q{seqs[0]}"
         self.quarantined.append((namespace, key, label, reason))
         return label
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.design import Design, SubDesign
+from ..core.design import Design
 from ..core.evalcache import (
     DEFAULT_CACHE,
     cached_evaluate_area,
@@ -800,23 +800,11 @@ class Application:
             f"&name={design_name}"
         )
 
-    def _resolve_design(
-        self, session, name: str, path: str
-    ) -> Tuple[Design, str]:
-        design = session.design(name)
-        if path:
-            for segment in path.split("/"):
-                row = design.row(segment)
-                if not isinstance(row, SubDesign):
-                    raise WebError(f"row {segment!r} is not a sub-design")
-                design = row.design
-        return design, path
-
     def _design_sheet(self, data: Mapping[str, str]) -> Response:
         user = self._user(data)
         session = self.users.session(user)
-        name = data.get("name", "")
-        design, path = self._resolve_design(session, name, data.get("path", ""))
+        name, path = data.get("name", ""), data.get("path", "")
+        design = session.resolve(name, path)
         report = cached_evaluate_power(design, cache=self.eval_cache)
         return Response(
             body=pages.design_sheet_page(
@@ -828,8 +816,8 @@ class Application:
     def _design_analysis(self, data: Mapping[str, str]) -> Response:
         user = self._user(data)
         session = self.users.session(user)
-        name = data.get("name", "")
-        design, path = self._resolve_design(session, name, data.get("path", ""))
+        name, path = data.get("name", ""), data.get("path", "")
+        design = session.resolve(name, path)
         area = cached_evaluate_area(design, cache=self.eval_cache)
         timing = cached_evaluate_timing(design, cache=self.eval_cache)
         return Response(
@@ -842,20 +830,14 @@ class Application:
     def _design_play(self, data: Mapping[str, str]) -> Response:
         user = self._user(data)
         session = self.users.session(user)
-        name = data.get("name", "")
-        design, path = self._resolve_design(session, name, data.get("path", ""))
-        error = ""
-        try:
-            for key, text in data.items():
-                if key.startswith("g:"):
-                    design.scope.set(key[2:], text)
-                elif key.startswith("p:"):
-                    _prefix, row_name, parameter = key.split(":", 2)
-                    design.row(row_name).set(parameter, text)
-        except PowerPlayError as exc:
-            error = str(exc)
+        name, path = data.get("name", ""), data.get("path", "")
+        # the edit is journaled before evaluation, so a design that
+        # then fails to evaluate (a 422) is still the one on disk
+        design, error = session.play(name, path, [
+            (key, text) for key, text in data.items()
+            if key.startswith(("g:", "p:"))
+        ])
         report = cached_evaluate_power(design, cache=self.eval_cache)
-        session.put_design(session.design(name))  # persist top-level design
         return Response(
             body=pages.design_sheet_page(
                 user, design, report, name, path, error,

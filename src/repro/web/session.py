@@ -14,6 +14,14 @@ a server-local directory, holding
   ("A Perl script updates the user defaults ...");
 * ``designs`` — serialized designs (via :mod:`repro.library.designio`);
 * ``models`` — the user's self-defined primitives (library payloads).
+
+A PLAY does not rewrite that document.  It appends its edit,
+``{"name", "path", "items"}``, to the document's journal
+(:meth:`~repro.state.backend.StateBackend.append`, durable before the
+PLAY evaluates), and loading replays the records through the same
+:meth:`UserSession.apply_play` the PLAY used.  Every other mutation, a
+drain, and every :data:`FOLD_EVERY`-th record write the full snapshot,
+which folds the journal into it.
 """
 
 from __future__ import annotations
@@ -25,10 +33,10 @@ import os
 import re
 import threading
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.design import Design
-from ..errors import PowerPlayError, SessionError
+from ..core.design import Design, SubDesign
+from ..errors import DesignError, PowerPlayError, SessionError, WebError
 from ..state import open_backend
 from ..library.catalog import Library, LibraryEntry
 from ..library.designio import design_from_payload, design_to_payload
@@ -36,13 +44,25 @@ from ..obs import get_logger, get_registry
 
 _LOG = get_logger("session")
 
+#: a session writes a full snapshot (folding its journal) after this
+#: many journaled PLAYs
+FOLD_EVERY = 64
+
+#: one PLAY edit: (``g:<name>`` or ``p:<row>:<param>``, value text)
+PlayItem = Tuple[str, str]
+
 
 def _metric_sessions():
     return get_registry().counter(
         "powerplay_session_ops_total",
-        "Session store operations (save, load, create, quarantine).",
+        "Session store operations (save, append, load, create, quarantine).",
         ("op",),
     )
+
+
+#: what a snapshot or journal that cannot be restored raises; anything
+#: else (an I/O error, say) propagates instead of quarantining the user
+_CORRUPT = (PowerPlayError, ValueError, TypeError, AttributeError, KeyError)
 
 # \Z, not $: "$" also matches before a trailing newline, which would
 # let "alice\n" through and put a newline in a file name
@@ -85,6 +105,8 @@ class UserSession:
         #: password-restricted access".  Stored as salted SHA-256.
         self._password_salt: str = ""
         self._password_hash: str = ""
+        #: PLAY records journaled since the last snapshot
+        self.journaled = 0
 
     # -- password protection ---------------------------------------------
 
@@ -157,6 +179,78 @@ class UserSession:
             del self.designs[name]
             self.save()
 
+    def resolve(self, name: str, path: str = "") -> Design:
+        """The design ``name``, or its sub-design at ``a/b/...``."""
+        design = self.design(name)
+        if path:
+            for segment in path.split("/"):
+                row = design.row(segment)
+                if not isinstance(row, SubDesign):
+                    raise WebError(f"row {segment!r} is not a sub-design")
+                design = row.design
+        return design
+
+    def apply_play(
+        self, name: str, path: str, items: Sequence[PlayItem]
+    ) -> Tuple[Design, str]:
+        """Apply one PLAY's edits in order to the resolved design.
+
+        Returns the design and the first edit's error ("" when every
+        edit applied).  An edit that fails stops the PLAY; the edits
+        before it stay.  Resolution errors raise.  A live PLAY and a
+        journal replay both come through here, so they agree.
+        """
+        design = self.resolve(name, path)
+        try:
+            for key, text in items:
+                if key.startswith("g:"):
+                    design.scope.set(key[2:], text)
+                    continue
+                parts = key.split(":", 2)
+                if len(parts) != 3:
+                    raise DesignError(
+                        f"edit {key!r} must look like p:<row>:<parameter>"
+                    )
+                design.row(parts[1]).set(parts[2], text)
+        except PowerPlayError as exc:
+            return design, str(exc)
+        return design, ""
+
+    def play(
+        self, name: str, path: str, items: Sequence[PlayItem]
+    ) -> Tuple[Design, str]:
+        """Apply a PLAY's edits and journal them; see :meth:`apply_play`.
+
+        The record is durable before this returns, so memory and disk
+        agree whether or not the edited design then evaluates.
+        """
+        with self.lock:
+            design, error = self.apply_play(name, path, items)
+            if items:
+                self._store.append_play(
+                    self.username, {"name": name, "path": path, "items": items}
+                )
+                self.journaled += 1
+                if self.journaled >= FOLD_EVERY:
+                    self.save()
+        return design, error
+
+    def replay(self, line: str) -> None:
+        """Re-apply one journaled PLAY record (see :meth:`play`)."""
+        record = json.loads(line)
+        name, path, items = record["name"], record["path"], record["items"]
+        if not (
+            isinstance(name, str) and isinstance(path, str)
+            and isinstance(items, list)
+            and all(
+                isinstance(item, list) and len(item) == 2
+                and all(isinstance(part, str) for part in item)
+                for item in items
+            )
+        ):
+            raise SessionError(f"malformed PLAY record {line[:80]!r}")
+        self.apply_play(name, path, [tuple(item) for item in items])
+
     # -- persistence ----------------------------------------------------------
 
     def to_payload(self) -> dict:
@@ -200,6 +294,7 @@ class UserSession:
         # same user cannot persist their snapshots out of order
         with self.lock:
             self._store.save_session(self)
+            self.journaled = 0
 
 
 class UserStore:
@@ -214,11 +309,14 @@ class UserStore:
     class changing shape.
 
     A state document that is unreadable (disk damage, manual edits, a
-    foreign format) is **quarantined**, not fatal: the backend moves
-    the bytes aside (file: ``<user>.json.corrupt[-N]``; SQLite: a
-    quarantine table), the event is recorded in :attr:`quarantined`,
-    and the user gets a fresh session — the web service keeps running
-    and the damaged bytes are preserved for inspection.
+    foreign format), or a journal record that does not parse or apply
+    (other than with the PLAY's own edit error), is **quarantined**,
+    not fatal: the backend moves the snapshot and its journal aside
+    together (file: ``<user>.json.corrupt[-N]`` and
+    ``<user>.journal.corrupt[-N]``; SQLite: quarantine rows), the event
+    is recorded in :attr:`quarantined`, and the user gets a fresh
+    session — the web service keeps running and the damaged bytes are
+    preserved for inspection.
     """
 
     NAMESPACE = "users"
@@ -237,19 +335,35 @@ class UserStore:
         return self.backend.keys(self.NAMESPACE)
 
     def read_disk(self, username: str) -> Optional[str]:
-        """The durable (backend) copy of one user's state, unparsed.
+        """The durable (backend) copy of one user's state, folded.
 
-        The oracle's torn-file check compares this byte-for-byte
+        The snapshot with its journal replayed, as JSON text; the
+        snapshot's own text when there is no journal (``None`` when
+        there is neither).  The oracle's torn-file check compares this
         against the in-memory session, whichever backend is in play.
+        Raises :class:`SessionError` when the journal cannot be folded.
         """
-        return self.backend.load(self.NAMESPACE, validate_username(username))
+        username = validate_username(username)
+        text = self.backend.load(self.NAMESPACE, username)
+        records = self.backend.journal(self.NAMESPACE, username)
+        if not records:
+            return text
+        scratch = UserSession(username, self)
+        try:
+            self._restore(scratch, text, records)
+        except _CORRUPT as exc:
+            raise SessionError(
+                f"cannot fold {username!r}'s journal: {exc}"
+            ) from exc
+        return json.dumps(scratch.to_payload())
 
     def flush(self) -> int:
         """Persist every loaded session; returns how many were saved.
 
-        The graceful-drain hook: handlers save after each mutation, so
-        this is normally a re-save of already-persisted state — but a
-        drain must not depend on "normally".
+        The graceful-drain hook: every mutation is already durable (a
+        snapshot, or a PLAY's journal record), so this folds each
+        journal into its snapshot — and re-saves the rest, because a
+        drain must not depend on "already".
         """
         with self._lock:
             sessions = list(self._sessions.values())
@@ -266,6 +380,17 @@ class UserStore:
         )
         return target
 
+    @staticmethod
+    def _restore(
+        session: UserSession, text: Optional[str], records: List[str]
+    ) -> None:
+        """Load a snapshot into a fresh session and replay its journal."""
+        if text is not None:
+            session.load_payload(json.loads(text))
+        for line in records:
+            session.replay(line)
+        session.journaled = len(records)
+
     def session(self, username: str) -> UserSession:
         """Fetch (or lazily create) a user's session."""
         username = validate_username(username)
@@ -274,28 +399,21 @@ class UserStore:
             if session is not None:
                 return session
             session = UserSession(username, self)
-            text = self.backend.load(self.NAMESPACE, username)
-            if text is not None:
-                try:
-                    payload = json.loads(text)
-                    session.load_payload(payload)
+            try:
+                text = self.backend.load(self.NAMESPACE, username)
+                records = self.backend.journal(self.NAMESPACE, username)
+                if text is None and not records:
+                    _metric_sessions().inc(op="create")
+                    _LOG.debug("create", user=username)
+                else:
+                    self._restore(session, text, records)
                     _metric_sessions().inc(op="load")
-                    _LOG.debug("load", user=username)
-                except (
-                    json.JSONDecodeError,
-                    PowerPlayError,
-                    ValueError,
-                    TypeError,
-                    AttributeError,
-                    KeyError,
-                ) as exc:
-                    self._quarantine(username, str(exc))
-                    # load_payload may have half-populated the session
-                    # before failing — start over from a clean one
-                    session = UserSession(username, self)
-            else:
-                _metric_sessions().inc(op="create")
-                _LOG.debug("create", user=username)
+                    _LOG.debug("load", user=username, replayed=len(records))
+            except _CORRUPT as exc:
+                self._quarantine(username, str(exc))
+                # the restore may have half-populated the session
+                # before failing — start over from a clean one
+                session = UserSession(username, self)
             self._sessions[username] = session
             return session
 
@@ -307,14 +425,22 @@ class UserStore:
         unique mkstemp temp + fsync + atomic rename; SQLite: one
         fsynced row transaction) — a crash at any instant leaves either
         the previous complete document or the new complete one, never a
-        torn or interleaved one.  The backend's per-key lock keeps two
-        threads saving the same user from landing out of order.
+        torn or interleaved one.  The save folds the user's journal:
+        the snapshot holds every journaled PLAY.  The backend's per-key
+        lock keeps two threads saving the same user from landing out of
+        order.
         """
-        payload = json.dumps(session.to_payload(), indent=1)
+        payload = json.dumps(session.to_payload())
         with self.backend.lock(self.NAMESPACE, session.username):
             self.backend.save(self.NAMESPACE, session.username, payload)
         _metric_sessions().inc(op="save")
         _LOG.debug("save", user=session.username, bytes=len(payload))
+
+    def append_play(self, username: str, record: dict) -> None:
+        """Durably journal one PLAY record (see :meth:`UserSession.play`)."""
+        with self.backend.lock(self.NAMESPACE, username):
+            self.backend.append(self.NAMESPACE, username, json.dumps(record))
+        _metric_sessions().inc(op="append")
 
     def forget(self, username: str) -> None:
         """Drop the in-memory session (state file remains)."""

@@ -144,6 +144,39 @@ class TestOracle:
         assert not report.matches
         assert any("disk" in diff for diff in report.differences)
 
+    def test_detects_damaged_journal_record(self, tmp_path: Path):
+        """Negative control: a PLAY journal line that is complete but
+        does not parse must fail the oracle — and a restarted server
+        must quarantine the user rather than serve a silently partial
+        state."""
+        script = generate_workload(7, users=2, ops=20)
+        application = Application(tmp_path / "concurrent")
+        run_script(script, InProcessTarget(application), threads=2)
+        serial_app, _ = replay_serial(script, tmp_path / "serial")
+
+        victim = script.users[1]
+        for app in (application, serial_app):
+            response = app.handle("POST", "/design", {
+                "user": victim, "name": f"{victim}_main", "g:VDD": "1.7",
+            })
+            assert response.status == 200
+        assert verify(script, application, serial_app).matches
+
+        journal = application.users.root / f"{victim}.journal"
+        lines = journal.read_bytes().split(b"\n")
+        lines[-2] = lines[-2][:-9]  # this PLAY's record, still a line
+        journal.write_bytes(b"\n".join(lines))
+
+        report = verify(script, application, serial_app)
+        assert not report.matches
+        assert any("disk" in diff for diff in report.differences)
+
+        restarted = Application(tmp_path / "concurrent")
+        assert restarted.users.session(victim).designs == {}
+        assert [user for user, _, _ in restarted.users.quarantined] == [
+            victim
+        ]
+
     def test_capture_state_is_canonical(self, tmp_path: Path):
         script = generate_workload(5, users=2, ops=16)
         application = Application(tmp_path)

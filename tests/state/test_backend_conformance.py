@@ -9,7 +9,12 @@ without proving the same properties the stores rely on:
   never a torn one (subprocess SIGKILL, both backends);
 * unreadable documents quarantine — bytes preserved, key reads absent,
   audit trail recorded — and :class:`UserStore` surfaces that audit
-  identically over any backend.
+  identically over any backend;
+* the per-document append journal: records read back in order, a save
+  clears them, a torn tail is dropped and cut off, a ``kill -9``
+  mid-append keeps every fsynced record and no partial one, a journal
+  a crash left behind a newer snapshot is never replayed, and
+  quarantine and delete take the journal with the snapshot.
 """
 
 import json
@@ -266,6 +271,234 @@ class TestQuarantine:
         assert names == [
             "eve.json.corrupt", "eve.json.corrupt-1", "eve.json.corrupt-2",
         ]
+
+
+def _record(n: int, fill: str = "") -> str:
+    return json.dumps({"n": n, "fill": fill})
+
+
+class TestJournal:
+    def test_appends_read_back_in_order(self, backend):
+        backend.save("users", "ann", "snapshot")
+        assert backend.journal("users", "ann") == []
+        for n in range(5):
+            backend.append("users", "ann", _record(n))
+        expected = [_record(n) for n in range(5)]
+        assert backend.journal("users", "ann") == expected
+        assert backend.load("users", "ann") == "snapshot"
+        assert backend.journal("users", "bob") == []
+
+    def test_journal_is_per_key_and_namespace(self, backend):
+        backend.append("users", "ann", "a")
+        backend.append("users", "bob", "b")
+        backend.append("jobs", "ann", "j")
+        assert backend.journal("users", "ann") == ["a"]
+        assert backend.journal("users", "bob") == ["b"]
+        assert backend.journal("jobs", "ann") == ["j"]
+
+    def test_save_clears_the_journal(self, backend):
+        backend.save("users", "ann", "v1")
+        backend.append("users", "ann", "r1")
+        backend.append("users", "ann", "r2")
+        backend.save("users", "ann", "v2")
+        assert backend.journal("users", "ann") == []
+        backend.append("users", "ann", "r3")
+        assert backend.journal("users", "ann") == ["r3"]
+        assert backend.load("users", "ann") == "v2"
+
+    def test_reopened_backend_reads_the_journal(self, backend, tmp_path):
+        backend.save("users", "ann", "v1")
+        backend.append("users", "ann", "r1")
+        reopened = open_backend(backend.kind, tmp_path / "state")
+        try:
+            assert reopened.journal("users", "ann") == ["r1"]
+            reopened.append("users", "ann", "r2")
+            assert reopened.journal("users", "ann") == ["r1", "r2"]
+        finally:
+            reopened.close()
+
+    def test_multiline_record_rejected(self, backend):
+        with pytest.raises(StateError):
+            backend.append("users", "ann", "two\nlines")
+        assert backend.journal("users", "ann") == []
+
+    def test_keys_never_list_a_journal(self, backend):
+        backend.append("users", "ghost", "r1")
+        assert backend.keys("users") == []
+        assert backend.load("users", "ghost") is None
+        backend.save("users", "ghost", "doc")
+        backend.append("users", "ghost", "r2")
+        assert backend.keys("users") == ["ghost"]
+
+    def test_delete_removes_both(self, backend):
+        backend.save("users", "ann", "doc")
+        backend.append("users", "ann", "r1")
+        assert backend.delete("users", "ann") is True
+        assert backend.load("users", "ann") is None
+        assert backend.journal("users", "ann") == []
+        backend.append("users", "ann", "r2")
+        assert backend.journal("users", "ann") == ["r2"]
+        assert backend.delete("users", "ann") is True  # journal only
+        assert backend.delete("users", "ann") is False
+
+    def test_quarantine_sets_the_journal_aside(self, backend):
+        backend.save("users", "eve", "{broken")
+        backend.append("users", "eve", "r1")
+        backend.append("users", "eve", "r2")
+        label = backend.quarantine("users", "eve", "bad json")
+        assert label
+        assert backend.load("users", "eve") is None
+        assert backend.journal("users", "eve") == []
+        assert len(backend.quarantined) == 1
+        if isinstance(backend, FileBackend):
+            assert Path(label).read_text() == "{broken"
+            aside = backend.journal_path("users", "eve").with_name(
+                "eve.journal.corrupt"
+            )
+            assert aside.read_text().splitlines()[1:] == ["r1", "r2"]
+        else:
+            rows = backend._connection().execute(
+                "SELECT key, body FROM quarantine ORDER BY seq"
+            ).fetchall()
+            assert rows == [("eve", "{broken"), ("eve.journal", "r1\nr2")]
+        # a fresh journal starts clean after the quarantine
+        backend.save("users", "eve", "{}")
+        backend.append("users", "eve", "r3")
+        assert backend.journal("users", "eve") == ["r3"]
+
+    def test_quarantine_of_a_journal_without_snapshot(self, backend):
+        backend.append("users", "eve", "r1")
+        assert backend.quarantine("users", "eve", "orphan journal")
+        assert backend.journal("users", "eve") == []
+
+    def test_torn_final_line_dropped_then_cut_before_next_append(
+        self, tmp_path
+    ):
+        """File backend: a crash mid-append leaves the record's prefix
+        with no newline.  It is never returned, and the next append
+        (from a restarted process) cuts it off so the new record is a
+        line of its own and reads back."""
+        backend = FileBackend(tmp_path)
+        backend.save("users", "ann", "doc")
+        backend.append("users", "ann", _record(1))
+        backend.append("users", "ann", _record(2))
+        path = backend.journal_path("users", "ann")
+        with open(path, "ab") as handle:
+            handle.write(_record(3).encode()[:9])  # torn mid-write
+
+        restarted = FileBackend(tmp_path)
+        assert restarted.journal("users", "ann") == [_record(1), _record(2)]
+        restarted.append("users", "ann", _record(4))
+        assert restarted.journal("users", "ann") == [
+            _record(1), _record(2), _record(4),
+        ]
+        assert path.read_bytes().endswith(b"\n")
+        assert restarted.quarantined == []
+
+    def test_torn_header_reads_as_empty_journal(self, tmp_path):
+        backend = FileBackend(tmp_path)
+        backend.save("users", "ann", "doc")
+        backend.journal_path("users", "ann").write_bytes(b'{"exte')
+        assert backend.journal("users", "ann") == []
+        FileBackend(tmp_path).append("users", "ann", "r1")
+        assert backend.journal("users", "ann") == ["r1"]
+
+    def test_stale_journal_is_never_replayed(self, backend, monkeypatch):
+        """A crash between a save's snapshot replace and its journal
+        clear must not replay the folded records on the new snapshot.
+
+        File: the journal is restored after the save, as a crash
+        before the unlink leaves it.  SQLite: the replace and the
+        clear are one transaction, so a failure between them leaves
+        the old snapshot with its whole journal, never the new one
+        with the old journal."""
+        backend.save("users", "ann", "v1")
+        backend.append("users", "ann", "r1")
+        backend.append("users", "ann", "r2")
+        if isinstance(backend, FileBackend):
+            path = backend.journal_path("users", "ann")
+            left_over = path.read_bytes()
+            backend.save("users", "ann", "v1+r1+r2")
+            path.write_bytes(left_over)  # the crash window
+            restarted = FileBackend(backend.root)
+            assert restarted.load("users", "ann") == "v1+r1+r2"
+            assert restarted.journal("users", "ann") == []
+            restarted.append("users", "ann", "r3")
+            assert restarted.journal("users", "ann") == ["r3"]
+        else:
+            def crash(*_args):
+                raise OSError("power cut between replace and clear")
+
+            monkeypatch.setattr(SQLiteBackend, "_clear_journal", crash)
+            with pytest.raises(OSError):
+                backend.save("users", "ann", "v1+r1+r2")
+            assert backend.load("users", "ann") == "v1"
+            assert backend.journal("users", "ann") == ["r1", "r2"]
+            monkeypatch.undo()
+            backend.save("users", "ann", "v1+r1+r2")
+            assert backend.journal("users", "ann") == []
+
+
+_CRASH_APPENDER = """
+import json, sys
+from pathlib import Path
+from repro.state import open_backend
+
+backend = open_backend(sys.argv[1], Path(sys.argv[2]))
+backend.save("users", "victim", "snapshot")
+fill = "x" * 4000
+print("GO", flush=True)
+n = 0
+while True:
+    n += 1
+    backend.append("users", "victim", json.dumps({"n": n, "fill": fill}))
+    print(n, flush=True)  # acknowledged: the record is durable
+"""
+
+
+@pytest.mark.slow
+class TestJournalCrash:
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_sigkill_mid_append_keeps_every_fsynced_record(
+        self, kind, tmp_path
+    ):
+        root = tmp_path / "state"
+        process = subprocess.Popen(
+            [sys.executable, "-c", _CRASH_APPENDER, kind, str(root)],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=str(Path(__file__).resolve().parents[2]),
+        )
+        acknowledged = 0
+        try:
+            assert process.stdout.readline().strip() == "GO"
+            deadline = time.monotonic() + 0.4
+            while time.monotonic() < deadline:
+                line = process.stdout.readline()
+                if line.strip():
+                    acknowledged = int(line)
+        finally:
+            process.send_signal(signal.SIGKILL)
+            process.wait(timeout=10)
+            process.stdout.close()
+        assert acknowledged > 0
+
+        survivor = open_backend(kind, root)
+        try:
+            journal = survivor.journal("users", "victim")
+            records = [json.loads(text) for text in journal]
+            numbers = [record["n"] for record in records]
+            # a prefix of the appends: none lost, none partial
+            assert numbers == list(range(1, len(numbers) + 1))
+            assert len(numbers) >= acknowledged
+            assert all(record["fill"] == "x" * 4000 for record in records)
+            survivor.append("users", "victim", _record(0))
+            assert survivor.journal("users", "victim")[-1] == _record(0)
+            assert len(survivor.journal("users", "victim")) == len(numbers) + 1
+            assert survivor.quarantined == []
+        finally:
+            survivor.close()
 
 
 class TestUserStoreAuditParity:
