@@ -10,6 +10,8 @@ into an evaluation plan (:mod:`repro.core.plan`: inter-row feeds such
 as DC-DC load power and interconnect active area, sub-designs, slot-bound
 model terms) and returns the :class:`PowerReport` tree that the
 report/web layers render as Figure 2 / Figure 5 style spreadsheets.
+Called with a live ``plan`` (the eval cache's), it reports from that
+plan instead of compiling one.
 
 Also here: the power-minimization analyses the paper motivates — "it is
 important to identify both the major power consumers and the point of
@@ -176,7 +178,7 @@ class TimingReport:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: every report comes from a freshly compiled plan
+# Evaluation: every report comes from a compiled plan
 # ---------------------------------------------------------------------------
 
 
@@ -207,7 +209,11 @@ def scope_overrides(scope: ParameterScope, overrides: Mapping[str, ParamValue]):
                 scope.unset(name)
 
 
-def _evaluate(design: Design, overrides, build):
+def _evaluate(design: Design, overrides, plan, build):
+    if plan is not None:
+        if overrides or plan.design is not design:
+            raise ValueError("a given plan reports its own design, unchanged")
+        return build(plan)
     from .plan import Plan  # the plan builds these reports: import late
 
     if overrides:
@@ -219,20 +225,26 @@ def _evaluate(design: Design, overrides, build):
 def evaluate_power(
     design: Design,
     overrides: Optional[Mapping[str, ParamValue]] = None,
+    *,
+    plan=None,
 ) -> PowerReport:
     """Hierarchically evaluate a design's power.
 
     ``overrides`` are applied to the design's global scope for the
     duration of the evaluation (the top-page parameter edits of
-    Figure 5).  The design is compiled into a fresh
-    :class:`~repro.core.plan.Plan` on every call.
+    Figure 5).  Without ``plan`` the design is compiled into a fresh
+    :class:`~repro.core.plan.Plan`; with one (compiled from ``design``
+    and refreshed since its last edit, as the eval cache keeps it) only
+    the rows that edit dirtied recompute, and ``overrides`` must be
+    empty.
 
     When tracing is enabled (:mod:`repro.obs`), the whole evaluation
     yields a span tree mirroring the design hierarchy, with row and
-    leaf counts recorded on each design node's span.
+    leaf counts recorded on each design node's span; on a given plan it
+    holds only the designs and rows that recomputed.
     """
     with span("evaluate_power", design=design.name) as sp:
-        report = _evaluate(design, overrides, lambda plan: plan.power_report())
+        report = _evaluate(design, overrides, plan, lambda plan: plan.power_report())
         sp.set(
             rows=report.evaluated_rows,
             leaves=report.leaf_count,
@@ -244,10 +256,13 @@ def evaluate_power(
 def evaluate_area(
     design: Design,
     overrides: Optional[Mapping[str, ParamValue]] = None,
+    *,
+    plan=None,
 ) -> AreaReport:
-    """Hierarchically sum active area over rows that carry area models."""
+    """Hierarchically sum active area over rows that carry area models
+    (``overrides`` and ``plan`` as for :func:`evaluate_power`)."""
     with span("evaluate_area", design=design.name) as sp:
-        report = _evaluate(design, overrides, lambda plan: plan.area_report())
+        report = _evaluate(design, overrides, plan, lambda plan: plan.area_report())
         sp.set(area_m2=report.area)
         return report
 
@@ -255,10 +270,13 @@ def evaluate_area(
 def evaluate_timing(
     design: Design,
     overrides: Optional[Mapping[str, ParamValue]] = None,
+    *,
+    plan=None,
 ) -> TimingReport:
-    """Critical-path delay: the max over modeled rows, hierarchically."""
+    """Critical-path delay: the max over modeled rows, hierarchically
+    (``overrides`` and ``plan`` as for :func:`evaluate_power`)."""
     with span("evaluate_timing", design=design.name) as sp:
-        report = _evaluate(design, overrides, lambda plan: plan.timing_report())
+        report = _evaluate(design, overrides, plan, lambda plan: plan.timing_report())
         sp.set(delay_s=report.delay)
         return report
 

@@ -19,6 +19,7 @@ parameters."  This module provides that machinery:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Union
 
@@ -26,6 +27,18 @@ from ..errors import EvaluationError, ParameterError
 from .expressions import Expression, compile_expression
 
 ParamValue = Union[float, int, str, Expression]
+
+
+def check_name(name: object) -> None:
+    """Raise unless ``name`` can be named by a formula: a letter or
+    ``_`` first, then letters, digits, ``_`` or ``.``."""
+    if not name or not isinstance(name, str):
+        raise ParameterError(f"invalid parameter name: {name!r}")
+    head = name[0]
+    if not (head.isalpha() or head == "_"):
+        raise ParameterError(f"parameter name must start with a letter: {name!r}")
+    if any(not (c.isalnum() or c in "_.") for c in name):
+        raise ParameterError(f"invalid parameter name: {name!r}")
 
 
 @dataclass
@@ -60,15 +73,7 @@ class Parameter:
     integer: bool = False
 
     def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ParameterError(f"invalid parameter name: {self.name!r}")
-        head = self.name[0]
-        if not (head.isalpha() or head == "_"):
-            raise ParameterError(
-                f"parameter name must start with a letter: {self.name!r}"
-            )
-        if any(not (c.isalnum() or c in "_.") for c in self.name):
-            raise ParameterError(f"invalid parameter name: {self.name!r}")
+        check_name(self.name)
         if (
             self.minimum is not None
             and self.maximum is not None
@@ -79,13 +84,16 @@ class Parameter:
             )
 
     def validate(self, value: float) -> float:
-        """Validate and coerce a numeric value against this declaration."""
+        """Validate and coerce a numeric value against this declaration;
+        raises only :class:`ParameterError`."""
         try:
             numeric = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParameterError(
                 f"{self.name}: not a number: {value!r}"
             ) from None
+        if math.isnan(numeric):
+            raise ParameterError(f"{self.name}: not a number: {value!r}")
         if self.minimum is not None and numeric < self.minimum:
             raise ParameterError(
                 f"{self.name}: {numeric} below minimum {self.minimum}"
@@ -101,7 +109,7 @@ class Parameter:
                 f"{self.name}: {numeric} not one of {list(self.choices)}"
             )
         if self.integer:
-            if numeric != int(numeric):
+            if not math.isfinite(numeric) or numeric != int(numeric):
                 raise ParameterError(
                     f"{self.name}: expected an integer, got {numeric}"
                 )

@@ -28,6 +28,9 @@ AST, never ``eval``/``exec``/``compile()`` of text.
 * **Dirty rows.**  :meth:`Plan.point` writes sweep overrides into slots
   and recomputes only the rows reading a changed slot, rows fed by a
   changed row, fallback rows, and their ancestors' sums.
+  :meth:`Plan.refresh` re-reads every slot from its scope after an edit
+  and marks the same way, so the next :meth:`Plan.power_report`
+  recomputes only what the edit dirtied (the eval cache's live plans).
 * **Columns.**  :meth:`Plan.columns` evaluates a whole chunk of sweep
   points in one walk: the swept registers hold columns (float64
   arrays), every closure accepts a float or a column, and sums follow
@@ -417,9 +420,10 @@ _NO_REGISTERS: Dict[str, int] = {}  # shared by rows without feeds
 class _Step:
     """A row (leaf) or design (node) of one pass, with its sweep state.
 
-    Steps hold no link to their parents: a plan is acyclic, so each one
-    PLAY compiles is freed as soon as it is dropped, not by the cyclic
-    garbage collector.  The plan keeps root-to-step paths instead.
+    Steps hold no link to their parents: a plan is acyclic, so a
+    one-shot plan, or a live one a recompile replaces, is freed as soon
+    as it is dropped, not by the cyclic garbage collector.  The plan
+    keeps root-to-step paths instead.
     """
 
     __slots__ = ("dirty", "changed", "value", "area_param", "details",
@@ -478,6 +482,7 @@ class Plan:
         self.values: List[float] = []
         self._stored: List[float] = []  # what each slot's scope stores
         self._slots: Dict[Tuple[int, str], int] = {}
+        self._sources: List[Tuple[int, ParameterScope, str]] = []
         self._read: Dict[int, Compiled] = {}
         self._pins = {(id(scope), name) for scope, name in pins}
         #: register -> root-to-step paths of the steps reading it
@@ -486,6 +491,7 @@ class Plan:
         self._volatile: List[Tuple[_Step, ...]] = []  # fallback power rows
         self._overridden: set = set()
         self._cold = True
+        self._reported = False  # every power step holds a full pass's output
         self.hits = self.misses = 0
 
     # -- binding -------------------------------------------------------------
@@ -495,8 +501,34 @@ class Plan:
         key = (id(scope), name)
         if key not in self._slots:
             stored = scope._values.get(name)
-            self._slots[key] = self._register(stored if type(stored) is float else math.nan)
+            register = self._register(stored if type(stored) is float else math.nan)
+            self._slots[key] = register
+            self._sources.append((register, scope, name))
         return self._slots[key]
+
+    def refresh(self) -> bool:
+        """Re-read every slot from its scope and mark the steps reading a
+        changed one dirty; whether any changed.
+
+        For a plan whose design was edited in place since it compiled,
+        provided every slotted name still holds what it held then (a
+        float, or for a pin a formula or nothing).  Unchanged slots hold
+        the very object their scope stores.
+        """
+        values, stored, changed = self.values, self._stored, False
+        for register, scope, name in self._sources:
+            value = scope._values.get(name)
+            if type(value) is not float:
+                value = math.nan  # as :meth:`slot` binds a pin
+            old = stored[register]
+            if value is old:
+                continue
+            stored[register] = values[register] = value
+            if _differs(old, value):
+                for path in self._readers.get(register, ()):
+                    self._mark(path)
+                changed = True
+        return changed
 
     def _register(self, value: float) -> int:
         self.values.append(value)
@@ -721,11 +753,22 @@ class Plan:
     # -- reports ----------------------------------------------------------------
 
     def power_report(self) -> PowerReport:
-        """The full hierarchical power report."""
+        """The full hierarchical power report.
+
+        After a full report, only the steps marked since (by
+        :meth:`refresh`), the rows they feed and the fallback rows
+        recompute; after anything else (a sweep point, a pass that
+        raised) every row does.
+        """
         root = self.root("power")
         self._cold = True
-        self._mark_all(root)
+        if not self._reported:
+            self._mark_all(root)
+        for path in self._volatile:
+            self._mark(path)
+        self._reported = False
         self._power(root, True)
+        self._reported = True
         return self._power_report(root)
 
     def _power_report(self, node: _Node) -> PowerReport:
@@ -735,14 +778,15 @@ class Plan:
                 children.append(self._power_report(child))
                 continue
             row = child.row
+            # copies: a row the next report does not recompute keeps its dicts
             children.append(PowerReport(
                 name=row.name, power=child.value, kind="instance", doc=row.doc,
                 quantity=row.quantity, source=row.source,
-                parameters=child.parameters, details=child.details,
+                parameters=dict(child.parameters), details=dict(child.details),
             ))
         return PowerReport(
             name=node.label, power=node.value, kind="design", doc=node.doc,
-            source="hierarchy", parameters=node.parameters, children=children,
+            source="hierarchy", parameters=dict(node.parameters), children=children,
             evaluated_rows=node.count,
         )
 
@@ -811,6 +855,7 @@ class Plan:
         fallback rows see the writes in their scopes while they run, as
         they always have.
         """
+        self._reported = False
         values = self.values
         wanted = {self.slot(scope, name): value for scope, name, value in writes}
         restore, self._overridden = self._overridden - wanted.keys(), set(wanted)

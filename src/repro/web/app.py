@@ -228,7 +228,7 @@ class Application:
         #: files themselves.
         self._user_locks: Dict[str, threading.RLock] = {}
         self._user_locks_guard = threading.Lock()
-        #: memoized evaluate_power/area/timing for sheet views
+        #: live plans behind every sheet view, analysis and PLAY
         self.eval_cache = DEFAULT_CACHE
         #: persistent sweep jobs — same layout the CLI uses, so a job
         #: submitted in the browser can be resumed with `repro sweep

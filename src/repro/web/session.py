@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
+import math
 import os
 import re
 import threading
@@ -36,7 +37,8 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.design import Design, SubDesign
-from ..errors import DesignError, PowerPlayError, SessionError, WebError
+from ..core.parameters import check_name
+from ..errors import DesignError, ParameterError, PowerPlayError, SessionError, WebError
 from ..state import open_backend
 from ..library.catalog import Library, LibraryEntry
 from ..library.designio import design_from_payload, design_to_payload
@@ -50,6 +52,16 @@ FOLD_EVERY = 64
 
 #: one PLAY edit: (``g:<name>`` or ``p:<row>:<param>``, value text)
 PlayItem = Tuple[str, str]
+
+
+def _check_finite(name: str, text: str) -> None:
+    """Refuse a PLAY value that parses to NaN or an infinity."""
+    try:
+        number = float(text.strip())
+    except ValueError:
+        return
+    if not math.isfinite(number):
+        raise ParameterError(f"{name}: {text.strip()!r} is not a finite number")
 
 
 def _metric_sessions():
@@ -197,21 +209,27 @@ class UserSession:
 
         Returns the design and the first edit's error ("" when every
         edit applied).  An edit that fails stops the PLAY; the edits
-        before it stay.  Resolution errors raise.  A live PLAY and a
-        journal replay both come through here, so they agree.
+        before it stay.  A name no formula could read (see
+        :func:`~repro.core.parameters.check_name`) and a number that is
+        not finite are that edit's error.  Resolution errors raise.  A
+        live PLAY and a journal replay both come through here, so they
+        agree.
         """
         design = self.resolve(name, path)
         try:
             for key, text in items:
                 if key.startswith("g:"):
-                    design.scope.set(key[2:], text)
-                    continue
-                parts = key.split(":", 2)
-                if len(parts) != 3:
-                    raise DesignError(
-                        f"edit {key!r} must look like p:<row>:<parameter>"
-                    )
-                design.row(parts[1]).set(parts[2], text)
+                    scope, parameter = design.scope, key[2:]
+                else:
+                    parts = key.split(":", 2)
+                    if len(parts) != 3:
+                        raise DesignError(
+                            f"edit {key!r} must look like p:<row>:<parameter>"
+                        )
+                    scope, parameter = design.row(parts[1]).scope, parts[2]
+                check_name(parameter)
+                _check_finite(parameter, text)
+                scope.set(parameter, text)
         except PowerPlayError as exc:
             return design, str(exc)
         return design, ""

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.expressions import Expression
-from repro.core.parameters import Parameter, ParameterScope
+from repro.core.parameters import Parameter, ParameterScope, check_name
 from repro.errors import ParameterError
 
 
@@ -47,6 +47,28 @@ class TestParameter:
     def test_non_numeric_validate(self):
         with pytest.raises(ParameterError, match="not a number"):
             Parameter("x", 0).validate("abc")
+
+    @pytest.mark.parametrize("declaration", [
+        Parameter("bits", 8, integer=True),
+        Parameter("bits", 8, minimum=1, maximum=64),
+        Parameter("x", 0),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), 10 ** 400, float("inf")])
+    def test_non_finite_validate_raises_only_parameter_error(self, declaration, value):
+        """``int(nan)`` and ``float(10**400)`` raise other errors, and NaN
+        passes every bound comparison; an unbounded real takes inf."""
+        if value == float("inf") and declaration.name == "x":
+            assert declaration.validate(value) == value
+            return
+        with pytest.raises(ParameterError):
+            declaration.validate(value)
+
+    def test_check_name_is_the_declaration_rule(self):
+        for good in ("VDD", "_x", "lut.words", "x1"):
+            check_name(good)
+        for bad in ("", " VDD", "a b", "1abc", "a-b", None):
+            with pytest.raises(ParameterError):
+                check_name(bad)
 
 
 class TestScopeBasics:

@@ -186,6 +186,78 @@ class TestJournal:
         make_app(root, "file")  # start-up only: no session is loaded
 
 
+class TestRefusedEdits:
+    """A value that parses to no finite number, or a name no formula can
+    read, is that edit's error: the PLAY answers 200 with the error on
+    the sheet, the edits before it stay, and disk equals memory."""
+
+    @pytest.fixture
+    def fig1(self, tmp_path, kind):
+        application = make_app(tmp_path / "state", kind)
+        assert application.handle(
+            "POST", "/design/load_example",
+            {"user": USER, "example": "luminance_fig1"},
+        ).status == 303
+        yield application
+        application.state_backend.close()
+
+    @staticmethod
+    def assert_durable(app, kind, tmp_path):
+        assert disk(app) == memory(app)
+        assert reopened_payload(tmp_path / "state", kind) == memory(app)
+
+    @staticmethod
+    def scopes(app):
+        design = memory(app)["designs"]["luminance_fig1"]
+        rows = {row["name"]: row["params"] for row in design["rows"]}
+        return design["scope"], rows["output_register"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", " NaN "])
+    def test_non_finite_value_in_one_item_play(self, fig1, kind, tmp_path, value):
+        before = self.scopes(fig1)
+        for key in ("p:output_register:bits", "g:VDD"):
+            response = play(fig1, name="luminance_fig1", **{key: value})
+            assert response.status == 200
+            assert "is not a finite number" in response.body
+        assert self.scopes(fig1) == before
+        self.assert_durable(fig1, kind, tmp_path)
+
+    def test_non_finite_value_after_a_valid_one(self, fig1, kind, tmp_path):
+        response = play(fig1, name="luminance_fig1", **{
+            "g:VDD": "2.0", "p:output_register:bits": "nan",
+        })
+        assert response.status == 200
+        assert "is not a finite number" in response.body
+        design_scope, register = self.scopes(fig1)
+        assert design_scope["VDD"] == 2.0 and register["bits"] == 6.0
+        self.assert_durable(fig1, kind, tmp_path)
+
+    @pytest.mark.parametrize("item", [
+        ["g:VDD", "nan"],                      # applied by older servers
+        ["p:output_register:bits", "inf"],     # crashed the replay before
+    ])
+    def test_a_journaled_non_finite_value_replays_as_its_edit_error(
+        self, fig1, kind, tmp_path, item
+    ):
+        before = memory(fig1)
+        fig1.state_backend.append("users", USER, json.dumps(
+            {"name": "luminance_fig1", "path": "", "items": [item]}))
+        assert reopened_payload(tmp_path / "state", kind) == before
+
+    @pytest.mark.parametrize("key", [
+        "g:", "g: VDD", "g:a b", "g:1abc", "p:output_register:",
+    ])
+    def test_a_name_no_formula_can_read_is_refused(
+        self, fig1, kind, tmp_path, key
+    ):
+        before = self.scopes(fig1)
+        response = play(fig1, name="luminance_fig1", **{key: "3"})
+        assert response.status == 200
+        assert "parameter name" in response.body
+        assert self.scopes(fig1) == before
+        self.assert_durable(fig1, kind, tmp_path)
+
+
 class TestCorruptJournal:
     def damage_last_record(self, app, kind, text):
         backend = app.state_backend
