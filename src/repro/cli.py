@@ -135,20 +135,13 @@ def _cmd_sweep_engine(args: argparse.Namespace) -> int:
 
     def _run(job) -> int:
         """Run the job to a terminal state and print it; --max-chunks
-        stops it once that many new chunks (exhaustive or surrogate
-        phase) are checkpointed."""
+        stops it once that many new chunks are checkpointed."""
         stopper = None
         if args.max_chunks:
-
-            def checkpointed() -> int:
-                return len(job.chunks) + sum(
-                    len(job.phase_chunks(phase)) for phase in job.phases
-                )
-
-            at_start = checkpointed()
+            at_start = len(job.chunks)
 
             def stopper() -> bool:
-                return checkpointed() - at_start >= args.max_chunks
+                return len(job.chunks) - at_start >= args.max_chunks
 
         run_job(job, should_stop=stopper)
         return _print_job_results(job, args)
@@ -181,20 +174,7 @@ def _cmd_sweep_engine(args: argparse.Namespace) -> int:
     from .explore.space import DEFAULT_POINT_CAP
 
     cap = DEFAULT_POINT_CAP if args.max_points is None else args.max_points
-    surrogate = None
-    if args.surrogate:
-        surrogate = {
-            "train_frac": args.train_frac,
-            "train_seed": args.train_seed,
-            "verify_top": args.verify_top,
-            "max_error": args.max_error,
-            "basis": args.basis,
-        }
-    # surrogate sweeps enumerate lazily — the cap may exceed the
-    # exact-sweep ceiling because most points are predicted, not walked
-    space = ParameterSpace(
-        axes, coupled, point_cap=cap, lazy=surrogate is not None
-    )
+    space = ParameterSpace(axes, coupled, point_cap=cap)
     print(f"sweep {design.name}: {space!r}")
 
     if args.state:
@@ -203,22 +183,8 @@ def _cmd_sweep_engine(args: argparse.Namespace) -> int:
             design, space, objectives=objectives, derived=derived,
             owner="cli", workers=args.workers, mode=args.mode,
             chunk_size=args.chunk_size, prune=args.prune,
-            surrogate=surrogate,
         )
         print(f"job {job.job_id} created in {store.root}")
-        return _run(job)
-
-    if surrogate is not None:
-        # ephemeral surrogate run: same phase engine, no persistence
-        from .explore.jobs import SweepJob
-
-        job = SweepJob(
-            "job-0000", "cli", design, space,
-            objectives=objectives, derived=derived,
-            workers=args.workers, mode=args.mode,
-            chunk_size=args.chunk_size, prune=args.prune,
-            surrogate=surrogate,
-        )
         return _run(job)
 
     outcome = run_sweep(
@@ -226,18 +192,24 @@ def _cmd_sweep_engine(args: argparse.Namespace) -> int:
         workers=args.workers, mode=args.mode,
         chunk_size=args.chunk_size, prune=args.prune,
     )
+    report = outcome.report
+    print(
+        f"engine: {report.points} points in {report.chunks} chunks "
+        f"({report.columnar} columnar), "
+        f"{report.seconds:.3f} s, memo {report.hits} hits / "
+        f"{report.misses} misses"
+    )
     return _print_outcome(
         outcome.rows, outcome.axis_names, outcome.objective_names,
-        outcome.report, args,
+        report.points, report.errors, args,
     )
 
 
 def _print_job_results(job, args: argparse.Namespace) -> int:
     summary = job.summary()
-    kind = "surrogate " if job.surrogate is not None else ""
     print(
-        f"{kind}job {summary['job_id']} state={summary['state']} "
-        f"exact points={summary['done']}/{summary['points']} "
+        f"job {summary['job_id']} state={summary['state']} "
+        f"points={summary['done']}/{summary['points']} "
         f"mode={job.mode} workers={job.workers}"
     )
     if job.state != "done":
@@ -249,55 +221,25 @@ def _print_job_results(job, args: argparse.Namespace) -> int:
         elif job.error:
             print(f"error: {job.error}")
         return 1
-    if job.surrogate is not None:
-        from .surrogate.runner import surrogate_report
-
-        report = surrogate_report(job)
-        print(
-            f"surrogate: trained on {report.train_points} exact points, "
-            f"predicted {report.predicted_points}, verified "
-            f"{report.verified_points} (front {report.front_size}, "
-            f"{report.unverified_front} front row(s) left predicted)"
-        )
-        for name, entry in sorted(report.fits.items()):
-            print(
-                f"  fit {name}: basis={entry['basis']} holdout max "
-                f"{entry['holdout_max_rel']:.4%} / p95 "
-                f"{entry['holdout_p95_rel']:.4%}"
-            )
-        print(
-            f"  error bound {report.error_bound:.4%} (holdout), "
-            f"observed {report.observed_max_rel:.4%} on verified rows"
-        )
-        if report.dropped_non_finite:
-            print(
-                f"  {report.dropped_non_finite} predicted point(s) "
-                "dropped as non-finite"
-            )
     return _print_outcome(
         job.result_rows(), job.space.axis_names, job.objective_names,
-        None, args,
+        job.done_points, job.failed_points, args,
     )
 
 
-def _print_outcome(rows, axis_names, objective_names, report, args) -> int:
+def _print_outcome(rows, axis_names, objective_names, points, failed,
+                   args) -> int:
+    """Print a sweep's rows (every row, or a pruned sweep's front) over
+    ``points`` evaluated points, ``failed`` of which failed."""
     from .explore import export_csv, export_json, pareto_rows, sensitivity_ranking
 
-    if report is not None:
-        print(
-            f"engine: {report.points} points in {report.chunks} chunks "
-            f"({report.columnar} columnar), "
-            f"{report.seconds:.3f} s, memo {report.hits} hits / "
-            f"{report.misses} misses"
-        )
-    failed = sum(1 for row in rows if row["error"])
     if failed:
         print(f"warning: {failed} point(s) failed to evaluate")
     primary = objective_names[0] if objective_names else "power"
     if len(objective_names) >= 2:
         front = pareto_rows(rows, objective_names)
         print(f"pareto front over ({', '.join(objective_names)}): "
-              f"{len(front)} of {len(rows)} points")
+              f"{len(front)} of {points} points")
         header = ["index"] + axis_names + objective_names
         print("  " + "  ".join(header))
         for row in front:
@@ -1104,33 +1046,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweeper.add_argument("--max-points", "--point-cap", dest="max_points",
                          type=int, default=None,
                          help="refuse spaces larger than this many points "
-                         "(default 100000, absolute ceiling 1000000; "
-                         "surrogate sweeps may go far beyond — they "
-                         "enumerate lazily)")
+                         "(default 100000, absolute ceiling 16777216; "
+                         "past 1000000 points a sweep must --prune)")
     sweeper.add_argument("--prune", action="store_true",
-                         help="keep only Pareto-optimal rows in the output")
-    sweeper.add_argument("--surrogate", action="store_true",
-                         help="fit-predict-verify engine: exact-evaluate "
-                         "a sampled training set, predict the rest, "
-                         "re-verify the predicted Pareto front exactly")
-    sweeper.add_argument("--train-frac", type=float, default=0.01,
-                         help="fraction of the space to exact-evaluate "
-                         "for training (default 0.01)")
-    sweeper.add_argument("--train-seed", type=int, default=1996,
-                         help="seed for the deterministic training "
-                         "sample (default 1996)")
-    sweeper.add_argument("--verify-top", type=int, default=64,
-                         help="exact-verification budget: predicted "
-                         "front first, then the most uncertain rows "
-                         "(default 64)")
-    sweeper.add_argument("--max-error", type=float, default=0.0,
-                         help="abort if the fitted holdout max relative "
-                         "error exceeds this (0 = report only)")
-    sweeper.add_argument("--basis", default="auto",
-                         choices=["auto", "linear", "quadratic", "cubic",
-                                  "log"],
-                         help="surrogate basis (default auto: best "
-                         "holdout p95)")
+                         help="keep only Pareto-optimal rows in the output "
+                         "(and in memory: any space up to the ceiling)")
     sweeper.add_argument("--state", default=None,
                          help="persist the sweep as a resumable job under "
                          "STATE/jobs")

@@ -12,8 +12,9 @@ loops the paper's methodology implies but leaves to the user's fingers:
   returning a Pareto-annotated result list;
 * :func:`pareto_mask` — the non-dominated rows of any number of
   minimized objectives: the one dominance test behind every front
-  (sweep rows, jobs, the surrogate scan, and :func:`pareto_front` /
-  :func:`pareto_points` here for power vs delay or power vs area).
+  (sweep rows, pruned chunks and running fronts, jobs, and
+  :func:`pareto_front` / :func:`pareto_points` here for power vs delay
+  or power vs area).
 """
 
 from __future__ import annotations

@@ -129,12 +129,6 @@ class ExploreError(PowerPlayError):
     over the configured point cap) or an exploration-engine failure."""
 
 
-class SurrogateError(ExploreError):
-    """Surrogate fit-predict-verify failure: too few training points,
-    a degenerate basis no candidate form survives, or a fitted holdout
-    error bound worse than the caller's ``--max-error`` budget."""
-
-
 class RegistryError(PowerPlayError):
     """Federated model-registry error (unknown artifact, malformed wire
     payload, store misuse, an exhausted resolution chain)."""

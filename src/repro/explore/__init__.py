@@ -25,13 +25,12 @@ from .engine import (
 )
 from .jobs import (
     JOB_STATES,
-    SURROGATE_DEFAULTS,
     JobStore,
     SweepJob,
-    coerce_surrogate,
     validate_job_id,
 )
 from .results import (
+    ParetoFront,
     export_csv,
     export_json,
     pareto_rows,
@@ -53,10 +52,9 @@ __all__ = [
     "JOB_STATES",
     "JobStore",
     "ParameterSpace",
-    "SURROGATE_DEFAULTS",
+    "ParetoFront",
     "SweepJob",
     "SweepOutcome",
-    "coerce_surrogate",
     "coupled_from_spec",
     "export_csv",
     "export_json",

@@ -2,15 +2,13 @@
 
 Execution model
 ---------------
-A sweep is a list of ``(key, indices)`` chunks run by
-:func:`run_chunks`.  Exhaustive sweeps pass contiguous ranges keyed by
-their start (:meth:`ParameterSpace.chunks`); the surrogate engine's
-train and verify phases pass scattered index lists keyed by ordinal.
-Chunks are independent: each is a pure function of (design payload,
-space payload, indices), so the assembled result does not depend on
-where or in which order they ran — rows are keyed by point index, not
-by completion order, and every worker evaluates with its **own**
-design replica (scope mutation during evaluation is not shareable).
+A sweep is a list of contiguous ``[start, stop)`` chunks of the space
+(:meth:`ParameterSpace.chunks`) run by :func:`run_chunks`.  Chunks are
+independent: each is a pure function of (design payload, space
+payload, range), so the assembled result does not depend on where or in
+which order they ran — rows are keyed by point index, not by
+completion order, and every worker evaluates with its **own** design
+replica (scope mutation during evaluation is not shareable).
 
 Determinism is the load-bearing property: objective values are
 bit-identical to serial :func:`repro.core.estimator.evaluate_power`
@@ -21,6 +19,15 @@ A chunk of at least :data:`COLUMNAR_MIN_POINTS` points is evaluated in
 one columnar pass (every point's values as float64 columns through the
 compiled plan) and falls back to the per-point loop, the reference,
 wherever that pass raises; the rows are the same either way.
+
+A **pruned** chunk keeps only its Pareto-optimal rows.  A columnar
+chunk picks them straight from its objective columns and builds row
+dicts for the survivors alone; a per-point chunk applies
+:func:`~repro.explore.results.pareto_rows` to its rows.  Failed points
+are counted before they are dropped.  :func:`run_sweep` then folds each
+chunk's survivors into a running :class:`~repro.explore.results.ParetoFront`,
+so a pruned sweep holds at most twice its front plus one chunk, whatever
+the size of the space.
 
 ``mode``:
 
@@ -54,8 +61,8 @@ from ..library.designio import design_from_payload, design_to_payload
 from ..obs import annotate, get_logger, get_registry, span
 from .batcheval import BatchEvaluator
 from .jobs import ENGINE_MODES, SweepJob
-from .results import pareto_rows
-from .space import DerivedObjective, ParameterSpace
+from .results import ParetoFront, front_mask, pareto_rows
+from .space import DerivedObjective, ParameterSpace, check_held_points
 
 _LOG = get_logger("explore")
 
@@ -65,8 +72,9 @@ _CHUNK_BUCKETS = (
     0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0
 )
 
-#: ``on_chunk(key, indices, rows, seconds)`` — the checkpoint hook
-ChunkHook = Callable[[int, Sequence[int], List[dict], float], None]
+#: ``on_chunk(start, stop, rows, seconds, failed)`` — the checkpoint
+#: hook; ``failed`` counts the chunk's failed points, rows or not
+ChunkHook = Callable[[int, int, List[dict], float, int], None]
 
 #: the shortest chunk evaluated as columns: below it the columnar pass
 #: costs more than the per-point loop (EXPERIMENTS.md C1)
@@ -184,10 +192,12 @@ def _column_rows(
     evaluator: BatchEvaluator,
     space: ParameterSpace,
     derived: Sequence[DerivedObjective],
-    indices: Sequence[int],
+    indices: range,
+    front: Sequence[str],
 ) -> Optional[List[dict]]:
     """The chunk's rows from one columnar pass, equal to
-    :func:`_point_row`'s; None where the pass raised."""
+    :func:`_point_row`'s; None where the pass raised.  With ``front``
+    (objective names) only the chunk's Pareto-optimal rows are built."""
     count = len(indices)
     try:
         with np.errstate(all="ignore"):
@@ -198,8 +208,14 @@ def _column_rows(
                 objectives[obj.name] = env[obj.name] = obj.column(env, count)
     except Exception:
         return None
+    if front:
+        keep = np.flatnonzero(front_mask(
+            np.column_stack([objectives[name] for name in front])))
+        indices = [indices[at] for at in keep.tolist()]
+    else:
+        keep = slice(None)
     # an axis target's override is its axis value: one float, as point() gives
-    listed = {id(column): column.tolist()
+    listed = {id(column): column[keep].tolist()
               for columns in (values, overrides, objectives)
               for column in columns.values()}
 
@@ -220,19 +236,28 @@ def _evaluate_chunk(
     evaluator: BatchEvaluator,
     space: ParameterSpace,
     derived: Sequence[DerivedObjective],
-    indices: Sequence[int],
-) -> Tuple[List[dict], float, int, int, int]:
-    """``(rows, seconds, row hits, row misses, columnar points)`` for
-    one chunk."""
+    front: Sequence[str],
+    start: int,
+    stop: int,
+) -> Tuple[List[dict], float, int, int, int, int]:
+    """``(rows, seconds, failed points, row hits, row misses, columnar
+    points)`` for the chunk ``[start, stop)``; with ``front`` (objective
+    names) only its Pareto-optimal rows."""
     hits0, misses0 = evaluator.hits, evaluator.misses
     began = time.perf_counter()
+    indices = range(start, stop)
     rows = None
     if len(indices) >= COLUMNAR_MIN_POINTS:
-        rows = _column_rows(evaluator, space, derived, indices)
-    columnar = 0 if rows is None else len(rows)
+        rows = _column_rows(evaluator, space, derived, indices, front)
+    columnar = failed = 0
     if rows is None:
         rows = [_point_row(evaluator, space, derived, index) for index in indices]
-    return (rows, time.perf_counter() - began,
+        failed = sum(1 for row in rows if row["error"])
+        if front:
+            rows = pareto_rows(rows, front)
+    else:
+        columnar = len(indices)
+    return (rows, time.perf_counter() - began, failed,
             evaluator.hits - hits0, evaluator.misses - misses0, columnar)
 
 
@@ -240,36 +265,38 @@ def _evaluate_chunk(
 
 # one evaluator per worker process, built once by the pool initializer
 _PROC_STATE: Optional[Tuple[BatchEvaluator, ParameterSpace,
-                            Tuple[DerivedObjective, ...]]] = None
+                            Tuple[DerivedObjective, ...], Tuple[str, ...]]] = None
 
 
-def _proc_init(design_payload, space_payload, objectives, derived_payloads):
+def _proc_init(design_payload, space_payload, objectives, derived_payloads,
+               front):
     global _PROC_STATE
     design = design_from_payload(design_payload)
     space = ParameterSpace.from_payload(space_payload)
     derived = tuple(
         DerivedObjective.from_payload(d) for d in derived_payloads
     )
-    _PROC_STATE = (BatchEvaluator(design, tuple(objectives)), space, derived)
+    _PROC_STATE = (BatchEvaluator(design, tuple(objectives)), space, derived,
+                   front)
 
 
-def _proc_chunk(key: int, indices: Sequence[int]):
-    return (key, indices) + _evaluate_chunk(*_PROC_STATE, indices)
+def _proc_chunk(start: int, stop: int):
+    return (start, stop) + _evaluate_chunk(*_PROC_STATE, start, stop)
 
 
 # -- the engine -------------------------------------------------------------
 
-def _observe_chunk(key: int, rows: List[dict], failed: int,
+def _observe_chunk(start: int, points: int, failed: int,
                    seconds: float) -> None:
-    if len(rows) - failed:
-        _metric_points().inc(len(rows) - failed, status="ok")
+    if points - failed:
+        _metric_points().inc(points - failed, status="ok")
     if failed:
         _metric_points().inc(failed, status="error")
     _metric_chunk_seconds().observe(seconds)
     annotate(
         "chunk",
-        chunk=key,
-        points=len(rows),
+        chunk=start,
+        points=points,
         errors=failed,
         seconds=round(seconds, 6),
     )
@@ -278,22 +305,23 @@ def _observe_chunk(key: int, rows: List[dict], failed: int,
 def run_chunks(
     design: Design,
     space: ParameterSpace,
-    chunks: Sequence[Tuple[int, Sequence[int]]],
+    chunks: Sequence[Tuple[int, int]],
     objectives: Sequence[str] = ("power",),
     derived: Sequence[DerivedObjective] = (),
     workers: int = 1,
     mode: str = "serial",
+    prune: bool = False,
     should_stop: Optional[Callable[[], bool]] = None,
     on_chunk: Optional[ChunkHook] = None,
-) -> Tuple[Dict[int, dict], EngineReport]:
-    """Evaluate ``(key, indices)`` chunks of ``space``, calling
-    ``on_chunk(key, indices, rows, seconds)`` as each finishes (that's
-    the checkpoint hook).
+) -> EngineReport:
+    """Evaluate the ``[start, stop)`` chunks of ``space``, calling
+    ``on_chunk(start, stop, rows, seconds, failed)`` as each finishes
+    (that's the checkpoint hook); the runner keeps no rows.
 
-    Returns ``(records, report)`` where ``records`` maps chunk key ->
-    ``{"indices", "rows", "seconds"}``.  ``should_stop`` is polled
-    between chunks; unstarted chunks stay unevaluated, which is exactly
-    the state a resumed job picks up from.
+    With ``prune`` each chunk hands over only its Pareto-optimal rows
+    over the objectives, built-in then derived.  ``should_stop`` is
+    polled between chunks; unstarted chunks stay unevaluated, which is
+    exactly the state a resumed job picks up from.
     """
     if mode not in ENGINE_MODES:
         raise ExploreError(
@@ -301,36 +329,34 @@ def run_chunks(
         )
     objectives = tuple(objectives)
     derived = tuple(derived)
+    front = (objectives + tuple(d.name for d in derived)) if prune else ()
     chunks = list(chunks)
     if mode == "process":
         workers = max(1, min(int(workers), os.cpu_count() or 1, len(chunks)))
     else:
         workers = 1
-    records: Dict[int, dict] = {}
     report = EngineReport(mode=mode, workers=workers)
     began = time.perf_counter()
 
-    def _record(key, indices, rows, seconds, hits, misses, columnar):
-        failed = sum(1 for row in rows if row["error"])
-        records[key] = {"indices": indices, "rows": rows, "seconds": seconds}
-        report.points += len(rows)
+    def _record(start, stop, rows, seconds, failed, hits, misses, columnar):
+        report.points += stop - start
         report.errors += failed
         report.chunks += 1
         report.columnar += columnar
         report.hits += hits
         report.misses += misses
-        _observe_chunk(key, rows, failed, seconds)
+        _observe_chunk(start, stop - start, failed, seconds)
         if on_chunk is not None:
-            on_chunk(key, indices, rows, seconds)
+            on_chunk(start, stop, rows, seconds, failed)
 
     if workers == 1:
         evaluator = BatchEvaluator(design, objectives)
-        for key, indices in chunks:
+        for start, stop in chunks:
             if should_stop is not None and should_stop():
                 break
             with span("explore.chunk"):
-                _record(key, indices,
-                        *_evaluate_chunk(evaluator, space, derived, indices))
+                _record(start, stop, *_evaluate_chunk(
+                    evaluator, space, derived, front, start, stop))
     else:
         try:
             context = multiprocessing.get_context("fork")
@@ -345,6 +371,7 @@ def run_chunks(
                 space.to_payload(),
                 objectives,
                 [d.to_payload() for d in derived],
+                front,
             ),
         ) as pool:
             _pump(pool, chunks, workers, should_stop, _record)
@@ -358,7 +385,7 @@ def run_chunks(
         hits=report.hits, misses=report.misses,
         seconds=round(report.seconds, 4),
     )
-    return records, report
+    return report
 
 
 def _pump(pool, chunks, workers, should_stop, record):
@@ -386,20 +413,6 @@ def _pump(pool, chunks, workers, should_stop, record):
                 record(*future.result())
 
 
-def _contiguous(
-    ranges: Sequence[Tuple[int, int]],
-    on_chunk: Optional[Callable[[int, int, List[dict], float], None]],
-) -> Tuple[List[Tuple[int, range]], Optional[ChunkHook]]:
-    """``[start, stop)`` ranges as runner chunks keyed by start, and an
-    ``on_chunk(start, stop, rows, seconds)`` hook adapted to them."""
-    chunks = [(start, range(start, stop)) for start, stop in ranges]
-    if on_chunk is None:
-        return chunks, None
-    return chunks, lambda start, indices, rows, seconds: on_chunk(
-        start, indices.stop, rows, seconds
-    )
-
-
 def run_sweep(
     design: Design,
     space: ParameterSpace,
@@ -416,26 +429,39 @@ def run_sweep(
 
     ``on_chunk(start, stop, rows, seconds)`` fires once per
     contiguous chunk.  ``prune=True`` keeps only the Pareto-optimal
-    rows (dominated region dropped) — the report still counts every
-    evaluated point.
+    rows (dominated region dropped): each chunk hands over, and
+    ``on_chunk`` sees, only its own front, and the survivors fold into
+    a running front, so any space up to the cap may be pruned, while a
+    sweep that keeps every row may have at most ``ABSOLUTE_POINT_CAP``
+    points.  The report still counts every evaluated point.
     """
-    chunks, hook = _contiguous(space.chunks(chunk_size), on_chunk)
+    check_held_points(space, prune)
+    objective_names = list(objectives) + [d.name for d in derived]
+    front = ParetoFront(objective_names) if prune else None
+    held: Dict[int, List[dict]] = {}
+
+    def collect(start, stop, rows, seconds, failed):
+        if front is None:
+            held[start] = rows
+        else:
+            front.fold(rows)
+        if on_chunk is not None:
+            on_chunk(start, stop, rows, seconds)
+
     with span("explore.sweep"):
         annotate(
             "sweep", design=design.name, points=len(space), mode=mode
         )
-        records, report = run_chunks(
-            design, space, chunks,
+        report = run_chunks(
+            design, space, space.chunks(chunk_size),
             objectives=objectives, derived=derived,
-            workers=workers, mode=mode,
-            should_stop=should_stop, on_chunk=hook,
+            workers=workers, mode=mode, prune=prune,
+            should_stop=should_stop, on_chunk=collect,
         )
-    rows: List[dict] = []
-    for start in sorted(records):
-        rows.extend(records[start]["rows"])
-    objective_names = list(objectives) + [d.name for d in derived]
-    if prune:
-        rows = pareto_rows(rows, objective_names)
+    if front is None:
+        rows = [row for start in sorted(held) for row in held[start]]
+    else:
+        rows = front.rows
     return SweepOutcome(
         rows=rows,
         report=report,
@@ -450,15 +476,12 @@ def run_job(
 ) -> SweepJob:
     """Execute (or resume) a persisted sweep job to a terminal state.
 
-    The job moves running -> done, failed or cancelled whichever engine
-    it uses.  Only the chunks missing from the job's checkpoint run;
-    each finished chunk checkpoints immediately, so killing this
-    process at any instant loses at most the in-flight chunks.  Honors
-    both the job's own :meth:`~SweepJob.request_cancel` flag and an
-    external ``should_stop``.
-
-    Surrogate jobs (``job.surrogate`` set) run the fit-predict-verify
-    phases instead of the exhaustive chunk walk.
+    The job moves running -> done, failed or cancelled.  Only the
+    chunks missing from the job's checkpoint run; each finished chunk
+    is journaled immediately, so killing this process at any instant
+    loses at most the in-flight chunks.  Honors both the job's own
+    :meth:`~SweepJob.request_cancel` flag and an external
+    ``should_stop``.
     """
     job.set_state("running")
 
@@ -468,19 +491,13 @@ def run_job(
         )
 
     try:
-        if job.surrogate is not None:
-            from ..surrogate.runner import run_surrogate_job
-
-            finished = run_surrogate_job(job, _stop)
-        else:
-            chunks, hook = _contiguous(job.pending_chunks(), job.record_chunk)
-            run_chunks(
-                job.design(), job.space, chunks,
-                objectives=job.objectives, derived=job.derived,
-                workers=job.workers, mode=job.mode,
-                should_stop=_stop, on_chunk=hook,
-            )
-            finished = not job.pending_chunks()
+        run_chunks(
+            job.design(), job.space, job.pending_chunks(),
+            objectives=job.objectives, derived=job.derived,
+            workers=job.workers, mode=job.mode, prune=job.prune,
+            should_stop=_stop, on_chunk=job.record_chunk,
+        )
+        finished = not job.pending_chunks()
     except PowerPlayError as exc:
         job.set_state("failed", str(exc))
         raise

@@ -4,10 +4,24 @@ A :class:`SweepJob` is the durable record of one exploration run —
 the design (as a library payload, so a process that never saw the
 original request can rebuild it), the parameter space, the requested
 objectives, the engine settings, and every finished chunk's result
-rows.  :class:`JobStore` persists each job as one JSON file using the
-same mkstemp + fsync + atomic-rename discipline as the web session
-store, so a ``kill -9`` at any instant leaves either the previous
-complete checkpoint or the new complete checkpoint — never a torn one.
+rows.  :class:`JobStore` keeps each job as one document of a
+:class:`~repro.state.backend.StateBackend`, the way user sessions are
+kept:
+
+* a finished chunk **appends** one compact record — its rows, its
+  ``[start, stop)`` span, its seconds and its failed-point count — to
+  the document's journal (:meth:`StateBackend.append`, durable before
+  the next chunk starts);
+* every other save (create, a state change, a cancel request) writes
+  the whole job as the snapshot, which **folds** the journal into it;
+* loading replays the journal's records after the snapshot.
+
+A crash at any instant therefore leaves the last snapshot plus every
+complete record; a record torn mid-append is dropped by the backend,
+and its chunk simply runs again.  A pruned job keeps only the rows
+still on its running Pareto front, so its memory and its snapshot
+grow with the front, not with the points; its progress counts chunk
+spans, not rows.
 
 Resume is therefore trivial and *verifiable*: the engine replays only
 the chunks missing from :attr:`SweepJob.chunks`, and because every
@@ -19,7 +33,6 @@ an uninterrupted run's.
 from __future__ import annotations
 
 import json
-import math
 import re
 import threading
 from pathlib import Path
@@ -30,8 +43,8 @@ from ..errors import JobError, PowerPlayError
 from ..library.designio import design_from_payload, design_to_payload
 from ..obs import get_logger, get_registry
 from ..state import FileBackend, open_backend
-from .results import pareto_rows
-from .space import DerivedObjective, ParameterSpace
+from .results import ParetoFront
+from .space import DerivedObjective, ParameterSpace, check_held_points
 
 _LOG = get_logger("jobs")
 
@@ -53,55 +66,42 @@ ENGINE_MODES = ("serial", "process")
 def _metric_jobs():
     return get_registry().counter(
         "powerplay_explore_jobs_total",
-        "Sweep-job store operations (create, save, load, quarantine).",
+        "Sweep-job store operations (create, save, append, load, "
+        "quarantine).",
         ("op",),
     )
 
 
-#: defaults for the surrogate engine's config dict
-SURROGATE_DEFAULTS = {
-    "train_frac": 0.01,
-    "train_seed": 1996,
-    "verify_top": 64,
-    "max_error": 0.0,
-    "basis": "auto",
-}
+#: the error a checkpoint of the retired surrogate engine loads with
+SURROGATE_RETIRED = (
+    "this job ran the surrogate engine, which PowerPlay no longer has; "
+    "rerun the space as a pruned exact sweep (repro sweep --prune, or "
+    "prune=yes on /sweep)"
+)
 
 
-def coerce_surrogate(config: Mapping) -> dict:
-    """Normalize a surrogate config dict (unknown keys rejected, known
-    keys type-coerced) so checkpoints round-trip canonically."""
-    out = dict(SURROGATE_DEFAULTS)
-    for key, value in dict(config).items():
-        if key not in SURROGATE_DEFAULTS:
-            raise JobError(f"unknown surrogate config key {key!r}")
-        out[key] = value
-    try:
-        out["train_frac"] = float(out["train_frac"])
-        out["train_seed"] = int(out["train_seed"])
-        out["verify_top"] = int(out["verify_top"])
-        out["max_error"] = float(out["max_error"])
-        out["basis"] = str(out["basis"])
-    except (TypeError, ValueError) as exc:
-        raise JobError(f"bad surrogate config: {exc}") from exc
-    if not 0.0 < out["train_frac"] <= 1.0:
-        raise JobError(
-            f"surrogate train fraction must be in (0, 1], got "
-            f"{out['train_frac']!r}"
-        )
-    if out["verify_top"] < 0:
-        raise JobError(
-            f"surrogate verify budget must be >= 0, got "
-            f"{out['verify_top']}"
-        )
-    # NaN fails every comparison, so a NaN budget would silently turn
-    # the check off; 0 is the only way to ask for no budget
-    if not (math.isfinite(out["max_error"]) and out["max_error"] >= 0):
-        raise JobError(
-            f"surrogate max_error must be a finite number >= 0 "
-            f"(0 = no budget), got {out['max_error']!r}"
-        )
-    return out
+#: the keys every result row carries (see :mod:`repro.explore.results`)
+_ROW_KEYS = frozenset({"index", "values", "objectives", "error"})
+
+
+def _chunk_record(chunk: Mapping) -> dict:
+    """One checkpointed chunk, checked: each row a result row of the
+    chunk's span.  A checkpoint written before chunks counted their
+    failed points held every row, so the count is taken from the rows."""
+    start, stop, rows = int(chunk["start"]), int(chunk["stop"]), list(chunk["rows"])
+    for row in rows:
+        if not (_ROW_KEYS <= row.keys() and start <= row["index"] < stop):
+            raise JobError(f"chunk [{start}, {stop}) holds a foreign row")
+    failed = chunk.get("failed")
+    if failed is None:
+        failed = sum(1 for row in rows if row["error"])
+    return {
+        "start": start,
+        "stop": stop,
+        "rows": rows,
+        "seconds": float(chunk.get("seconds", 0.0)),
+        "failed": int(failed),
+    }
 
 
 def validate_job_id(job_id: str) -> str:
@@ -128,7 +128,6 @@ class SweepJob:
         mode: str = "serial",
         chunk_size: int = 64,
         prune: bool = False,
-        surrogate: Optional[Mapping] = None,
     ):
         self.job_id = validate_job_id(job_id)
         self.owner = str(owner)
@@ -145,24 +144,22 @@ class SweepJob:
         self.mode = mode
         self.chunk_size = max(1, int(chunk_size))
         self.prune = bool(prune)
-        #: ``None`` = exhaustive exact sweep; a config dict switches the
-        #: job to the fit-predict-verify surrogate engine
-        self.surrogate = (
-            None if surrogate is None else coerce_surrogate(surrogate)
-        )
-        #: surrogate phase checkpoints — ``train``/``verify`` hold
-        #: ``{"chunks": {ordinal: {...}}}``, ``plan`` holds the fitted
-        #: surrogates + predicted front (see repro.surrogate.runner)
-        self.phases: Dict[str, dict] = {}
+        check_held_points(space, self.prune)
         self.state = "pending"
         self.error = ""
         self.cancel_requested = False
-        #: chunk start index -> {"start", "stop", "rows", "seconds"}
+        self._init_chunks()
+        self._store: Optional["JobStore"] = None
+
+    def _init_chunks(self) -> None:
+        #: chunk start -> {"start", "stop", "rows", "seconds", "failed"};
+        #: a pruned job's chunks hold no rows, its front does
         self.chunks: Dict[int, dict] = {}
+        #: a pruned job's running Pareto front over every held chunk
+        self.front = ParetoFront(self.objective_names) if self.prune else None
         #: serializes state transitions and checkpoint writes for this
         #: job across the web runner thread and CLI resume
         self.lock = threading.RLock()
-        self._store: Optional["JobStore"] = None
 
     # -- derived views -----------------------------------------------------
 
@@ -181,12 +178,15 @@ class SweepJob:
 
     @property
     def done_points(self) -> int:
-        """Exactly-evaluated points so far (phase rows included)."""
-        done = sum(len(chunk["rows"]) for chunk in self.chunks.values())
-        for phase in self.phases.values():
-            for chunk in phase.get("chunks", {}).values():
-                done += len(chunk["rows"])
-        return done
+        """Points in checkpointed chunks."""
+        return sum(
+            chunk["stop"] - chunk["start"] for chunk in self.chunks.values()
+        )
+
+    @property
+    def failed_points(self) -> int:
+        """Points of checkpointed chunks that failed to evaluate."""
+        return sum(chunk["failed"] for chunk in self.chunks.values())
 
     @property
     def objective_names(self) -> List[str]:
@@ -204,90 +204,61 @@ class SweepJob:
     def result_rows(self) -> List[dict]:
         """All checkpointed rows in point order (raises if incomplete),
         Pareto-pruned as :func:`~repro.explore.engine.run_sweep` does
-        when the job was submitted with ``prune``.
-
-        For surrogate jobs this assembles the exact + predicted row set
-        from the phase checkpoints instead of the chunk walk.
-        """
-        if self.surrogate is not None:
-            from ..surrogate.runner import surrogate_result_rows
-
-            rows = surrogate_result_rows(self)
-        elif self.pending_chunks():
+        when the job was submitted with ``prune``."""
+        if self.pending_chunks():
             raise JobError(
                 f"job {self.job_id!r} is incomplete: "
                 f"{self.done_points}/{self.total_points} points"
             )
-        else:
-            rows = [
-                row for start in sorted(self.chunks)
-                for row in self.chunks[start]["rows"]
-            ]
-        return pareto_rows(rows, self.objective_names) if self.prune else rows
-
-    # -- surrogate phases --------------------------------------------------
-
-    def phase_chunks(self, phase: str) -> Dict[int, dict]:
-        """Checkpointed chunks of one surrogate phase, by ordinal."""
-        return {
-            int(ordinal): chunk
-            for ordinal, chunk in self.phases.get(phase, {}).get(
-                "chunks", {}
-            ).items()
-        }
-
-    def phase_rows(self, phase: str) -> Dict[int, dict]:
-        """Point index -> exact result row for one surrogate phase."""
-        rows: Dict[int, dict] = {}
-        chunks = self.phase_chunks(phase)
-        for ordinal in sorted(chunks):
-            for row in chunks[ordinal]["rows"]:
-                rows[int(row["index"])] = row
-        return rows
-
-    def record_phase_chunk(
-        self, phase: str, ordinal: int, indices: Sequence[int],
-        rows: List[dict], seconds: float,
-    ) -> None:
-        with self.lock:
-            slot = self.phases.setdefault(phase, {})
-            slot.setdefault("chunks", {})[int(ordinal)] = {
-                "ordinal": int(ordinal),
-                "indices": [int(i) for i in indices],
-                "rows": rows,
-                "seconds": float(seconds),
-            }
-            self.save()
-
-    def phase_data(self, phase: str) -> Optional[dict]:
-        """The non-chunk payload of one phase (the ``plan``)."""
-        return self.phases.get(phase, {}).get("data")
-
-    def set_phase_data(self, phase: str, data: Mapping) -> None:
-        with self.lock:
-            self.phases.setdefault(phase, {})["data"] = dict(data)
-            self.save()
+        if self.front is not None:
+            return list(self.front.rows)
+        return [
+            row for start in sorted(self.chunks)
+            for row in self.chunks[start]["rows"]
+        ]
 
     # -- state transitions -------------------------------------------------
 
+    def _hold(self, record: dict) -> None:
+        """Keep one chunk record; a pruned job folds its rows into the
+        front.  A record that is no chunk of this job, or one already
+        held, is damage."""
+        start, stop = record["start"], record["stop"]
+        if (start % self.chunk_size or start in self.chunks
+                or not 0 <= start < stop
+                or stop != min(start + self.chunk_size, self.total_points)):
+            raise JobError(
+                f"chunk [{start}, {stop}) is not a pending chunk of "
+                f"job {self.job_id!r}"
+            )
+        if self.front is not None:
+            self.front.fold(record["rows"])
+            record = {**record, "rows": []}
+        self.chunks[start] = record
+
     def record_chunk(self, start: int, stop: int, rows: List[dict],
-                     seconds: float) -> None:
+                     seconds: float, failed: int) -> None:
+        """Journal one finished chunk (the engine's ``on_chunk`` hook)."""
+        record = {
+            "start": int(start),
+            "stop": int(stop),
+            "rows": rows,
+            "seconds": float(seconds),
+            "failed": int(failed),
+        }
         with self.lock:
-            self.chunks[int(start)] = {
-                "start": int(start),
-                "stop": int(stop),
-                "rows": rows,
-                "seconds": float(seconds),
-            }
-            self.save()
+            if self._store is not None:
+                self._store.append_chunk(self.job_id, record)
+            self._hold(record)
 
     def set_state(self, state: str, error: str = "") -> None:
         if state not in JOB_STATES:
             raise JobError(f"unknown job state {state!r}")
         with self.lock:
             if self.state in _TERMINAL and state == "running":
+                reason = f" ({self.error})" if self.error else ""
                 raise JobError(
-                    f"job {self.job_id!r} is {self.state}; only a "
+                    f"job {self.job_id!r} is {self.state}{reason}; only a "
                     "cancelled or interrupted job can be resumed"
                 )
             self.state = state
@@ -306,14 +277,31 @@ class SweepJob:
             self.save()
 
     def save(self) -> None:
+        """Write the snapshot, folding the journal into it."""
         if self._store is not None:
             with self.lock:
                 self._store.save_job(self)
 
     # -- persistence -------------------------------------------------------
 
+    def _chunk_payloads(self) -> Dict[str, dict]:
+        """The snapshot's chunks; a pruned job's front rows go back to
+        the chunks they came from."""
+        if self.front is None:
+            return {
+                str(start): chunk for start, chunk in sorted(self.chunks.items())
+            }
+        rows: Dict[int, List[dict]] = {}
+        for row in self.front.rows:
+            start = row["index"] - row["index"] % self.chunk_size
+            rows.setdefault(start, []).append(row)
+        return {
+            str(start): {**chunk, "rows": rows.get(start, [])}
+            for start, chunk in sorted(self.chunks.items())
+        }
+
     def to_payload(self) -> dict:
-        payload: Dict[str, object] = {
+        return {
             "format": "powerplay-job/1",
             "job_id": self.job_id,
             "owner": self.owner,
@@ -329,24 +317,8 @@ class SweepJob:
             "state": self.state,
             "error": self.error,
             "cancel_requested": self.cancel_requested,
-            "chunks": {
-                str(start): chunk
-                for start, chunk in sorted(self.chunks.items())
-            },
+            "chunks": self._chunk_payloads(),
         }
-        if self.surrogate is not None:
-            payload["surrogate"] = dict(self.surrogate)
-            payload["phases"] = {
-                phase: {
-                    key: (
-                        {str(o): c for o, c in sorted(value.items())}
-                        if key == "chunks" else value
-                    )
-                    for key, value in slot.items()
-                }
-                for phase, slot in sorted(self.phases.items())
-            }
-        return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "SweepJob":
@@ -378,48 +350,20 @@ class SweepJob:
             job.mode = mode
             job.chunk_size = max(1, int(payload.get("chunk_size", 64)))
             job.prune = bool(payload.get("prune", False))
-            surrogate = payload.get("surrogate")
-            job.surrogate = (
-                None if surrogate is None else coerce_surrogate(surrogate)
-            )
-            job.phases = {}
-            for phase, slot in payload.get("phases", {}).items():
-                restored: dict = {}
-                for key, value in slot.items():
-                    if key == "chunks":
-                        restored["chunks"] = {
-                            int(ordinal): {
-                                "ordinal": int(chunk["ordinal"]),
-                                "indices": [
-                                    int(i) for i in chunk["indices"]
-                                ],
-                                "rows": list(chunk["rows"]),
-                                "seconds": float(
-                                    chunk.get("seconds", 0.0)
-                                ),
-                            }
-                            for ordinal, chunk in value.items()
-                        }
-                    else:
-                        restored[key] = value
-                job.phases[str(phase)] = restored
             state = str(payload.get("state", "pending"))
             if state not in JOB_STATES:
                 raise JobError(f"corrupt job payload: state {state!r}")
             job.state = state
             job.error = str(payload.get("error", ""))
             job.cancel_requested = bool(payload.get("cancel_requested", False))
-            job.chunks = {}
-            for key, chunk in payload.get("chunks", {}).items():
-                start = int(key)
-                job.chunks[start] = {
-                    "start": int(chunk["start"]),
-                    "stop": int(chunk["stop"]),
-                    "rows": list(chunk["rows"]),
-                    "seconds": float(chunk.get("seconds", 0.0)),
-                }
-            job.lock = threading.RLock()
+            job._init_chunks()
             job._store = None
+            if "surrogate" in payload:
+                # its rows live in phases no engine reads any more
+                job.state, job.error = "failed", SURROGATE_RETIRED
+                return job
+            for chunk in payload.get("chunks", {}).values():
+                job._hold(_chunk_record(chunk))
             return job
         except JobError:
             raise
@@ -436,20 +380,20 @@ class SweepJob:
             "points": self.total_points,
             "done": self.done_points,
             "objectives": ",".join(self.objective_names),
-            "surrogate": self.surrogate is not None,
             "error": self.error,
         }
 
 
 class JobStore:
-    """Backend-backed job registry: one JSON checkpoint per job.
+    """Backend-backed job registry: one snapshot and journal per job.
 
     Mirrors :class:`repro.web.session.UserStore`'s durability story,
-    now delegated to a :class:`~repro.state.backend.StateBackend`
-    (namespace ``"jobs"``): atomic fsynced saves, and quarantine
-    (file: ``.json.corrupt[-N]``; SQLite: a quarantine table) for
-    checkpoints that are unreadable anyway — the server keeps running
-    and the damaged bytes stay preserved for inspection.
+    delegated to a :class:`~repro.state.backend.StateBackend`
+    (namespace ``"jobs"``): atomic fsynced snapshots, fsynced journal
+    appends, and quarantine of the snapshot and its journal together
+    (file: ``.json.corrupt[-N]``; SQLite: a quarantine table) when
+    either is unreadable — the server keeps running and the damaged
+    bytes stay preserved for inspection.
 
     ``worker_index``/``worker_count`` stride id allocation so the
     pre-fork front's workers, sharing one backend, can never both mint
@@ -512,7 +456,6 @@ class JobStore:
         mode: str = "serial",
         chunk_size: int = 64,
         prune: bool = False,
-        surrogate: Optional[Mapping] = None,
     ) -> SweepJob:
         """Allocate an id, build the job, persist it as ``pending``."""
         with self._lock:
@@ -527,7 +470,6 @@ class JobStore:
                 mode=mode,
                 chunk_size=chunk_size,
                 prune=prune,
-                surrogate=surrogate,
             )
             job._store = self
             self._jobs[job.job_id] = job
@@ -549,7 +491,8 @@ class JobStore:
         return target
 
     def job(self, job_id: str) -> SweepJob:
-        """Fetch a job, loading its checkpoint from disk if needed."""
+        """Fetch a job, loading its snapshot and replaying its journal
+        if needed."""
         job_id = validate_job_id(job_id)
         with self._lock:
             job = self._jobs.get(job_id)
@@ -559,8 +502,9 @@ class JobStore:
             if text is None:
                 raise JobError(f"no job {job_id!r}")
             try:
-                payload = json.loads(text)
-                job = SweepJob.from_payload(payload)
+                job = SweepJob.from_payload(json.loads(text))
+                for line in self.backend.journal(self.NAMESPACE, job_id):
+                    job._hold(_chunk_record(json.loads(line)))
             except (json.JSONDecodeError, PowerPlayError, ValueError,
                     TypeError, KeyError, AttributeError) as exc:
                 target = self._quarantine(job_id, str(exc))
@@ -584,11 +528,18 @@ class JobStore:
         return jobs
 
     def save_job(self, job: SweepJob) -> None:
-        """Atomically persist one job's checkpoint (crash-safe)."""
+        """Atomically write one job's snapshot, folding its journal."""
         payload = json.dumps(job.to_payload(), sort_keys=True)
         with self.backend.lock(self.NAMESPACE, job.job_id):
             self.backend.save(self.NAMESPACE, job.job_id, payload)
         _metric_jobs().inc(op="save")
+
+    def append_chunk(self, job_id: str, record: dict) -> None:
+        """Durably journal one finished chunk's record."""
+        line = json.dumps(record, sort_keys=True)
+        with self.backend.lock(self.NAMESPACE, job_id):
+            self.backend.append(self.NAMESPACE, job_id, line)
+        _metric_jobs().inc(op="append")
 
     def forget(self, job_id: str) -> None:
         """Drop the in-memory copy (checkpoint file remains)."""

@@ -37,20 +37,37 @@ def _objective_vector(
         ) from None
 
 
+def _objective_matrix(
+    rows: Sequence[Mapping], objectives: Sequence[str]
+) -> np.ndarray:
+    """The ``(len(rows), len(objectives))`` float array of the rows'
+    objective values."""
+    return np.array(
+        [_objective_vector(row, objectives) for row in rows], dtype=float
+    ).reshape(len(rows), len(objectives))
+
+
+def front_mask(vectors: np.ndarray) -> np.ndarray:
+    """The non-dominated rows of ``vectors`` among its finite rows.
+
+    A row with any non-finite objective never makes the front: a
+    derived objective can be NaN or inf at a corner of the space, and a
+    NaN would survive every dominance test.  The rest go through
+    :func:`~repro.core.optimize.pareto_mask`.
+    """
+    finite = np.isfinite(vectors).all(axis=1)
+    keep = np.zeros(len(vectors), dtype=bool)
+    keep[finite] = pareto_mask(vectors[finite])
+    return keep
+
+
 def pareto_rows(
-    rows: Sequence[Mapping],
-    objectives: Sequence[str],
-    stats: Optional[Dict[str, int]] = None,
+    rows: Sequence[Mapping], objectives: Sequence[str]
 ) -> List[Mapping]:
     """Non-dominated rows over N minimized objectives.
 
     Failed rows (non-empty ``error``) and rows with any non-finite
-    objective never make the front — surrogate-predicted rows can
-    legitimately hold NaN/inf (an extrapolating basis, a log of a
-    non-positive value), and a NaN would survive every dominance test.
-    Pass a dict as ``stats`` to get
-    ``{"dropped_failed": n, "dropped_non_finite": m}`` back.  The rest
-    go through :func:`~repro.core.optimize.pareto_mask`: ties on the
+    objective never make the front (:func:`front_mask`).  Ties on the
     full objective vector all survive, matching the designer's
     expectation that equivalent configurations stay visible.  Output
     preserves point order.
@@ -58,16 +75,58 @@ def pareto_rows(
     if not objectives:
         raise ExploreError("pareto_rows needs at least one objective")
     scored = [row for row in rows if not row.get("error")]
-    vectors = np.array(
-        [_objective_vector(row, objectives) for row in scored], dtype=float
-    ).reshape(len(scored), len(objectives))
-    finite = np.isfinite(vectors).all(axis=1)
-    if stats is not None:
-        stats["dropped_failed"] = len(rows) - len(scored)
-        stats["dropped_non_finite"] = int(np.count_nonzero(~finite))
-    keep = np.zeros(len(scored), dtype=bool)
-    keep[finite] = pareto_mask(vectors[finite])
+    keep = front_mask(_objective_matrix(scored, objectives))
     return [row for row, kept in zip(scored, keep) if kept]
+
+
+class ParetoFront:
+    """The Pareto front of rows that arrive a chunk at a time.
+
+    :meth:`fold` takes one chunk's rows, chunks in any order;
+    :attr:`rows` is then :func:`pareto_rows` over every row folded so
+    far, sorted by point index.  Folded rows wait in a buffer until it is as long as the
+    front, and then merge into it with one ``pareto_mask`` call, so
+    every row takes part in O(1) merges however large the front grows,
+    and the front never holds more than twice itself plus one chunk.
+    """
+
+    def __init__(self, objectives: Sequence[str]):
+        if not objectives:
+            raise ExploreError("a Pareto front needs at least one objective")
+        self.objectives = tuple(objectives)
+        self._front: List[Mapping] = []
+        self._vectors = np.empty((0, len(self.objectives)))
+        self._pending: List[Mapping] = []
+
+    @property
+    def held(self) -> int:
+        """Rows held: the front and the rows not merged into it yet."""
+        return len(self._front) + len(self._pending)
+
+    @property
+    def rows(self) -> List[Mapping]:
+        """The front, in point order."""
+        if self._pending:
+            self._merge()
+        return self._front
+
+    def fold(self, rows: Sequence[Mapping]) -> None:
+        """Add one chunk's rows; failed rows never make the front."""
+        self._pending.extend(row for row in rows if not row.get("error"))
+        if self._pending and len(self._pending) >= len(self._front):
+            self._merge()
+
+    def _merge(self) -> None:
+        merged = self._front + self._pending
+        vectors = np.concatenate(
+            [self._vectors, _objective_matrix(self._pending, self.objectives)]
+        )
+        keep = np.flatnonzero(front_mask(vectors))
+        keep = keep[np.argsort([merged[at]["index"] for at in keep],
+                               kind="stable")]
+        self._front = [merged[at] for at in keep]
+        self._vectors = vectors[keep]
+        self._pending = []
 
 
 def sensitivity_ranking(
@@ -128,18 +187,8 @@ def export_csv(
     objectives: Sequence[str],
 ) -> str:
     """Result rows as CSV, byte-stable: ``repr`` floats round-trip
-    exactly, row order is point order.
-
-    When any row carries a ``source`` key (surrogate sweeps mark rows
-    ``exact`` or ``predicted``) a ``source`` column is emitted; exports
-    of plain exact sweeps stay byte-identical to before.
-    """
-    with_source = any("source" in row for row in rows)
-    header = ["index", *axis_names, *objectives]
-    if with_source:
-        header.append("source")
-    header.append("error")
-    lines = [",".join(header)]
+    exactly, row order is point order."""
+    lines = [",".join(["index", *axis_names, *objectives, "error"])]
     for row in rows:
         cells: List[str] = [str(int(row["index"]))]
         for name in axis_names:
@@ -147,8 +196,6 @@ def export_csv(
         for name in objectives:
             value = row.get("objectives", {}).get(name)
             cells.append("" if value is None else repr(float(value)))
-        if with_source:
-            cells.append(str(row.get("source", "exact")))
         error = str(row.get("error", ""))
         cells.append('"%s"' % error.replace('"', "'") if error else "")
         lines.append(",".join(cells))
@@ -163,9 +210,8 @@ def export_json(
 ) -> str:
     """Full results as canonical JSON (sorted keys, indent 1) — the
     payload the resume-equivalence gate compares byte for byte."""
-    out_rows: List[Dict[str, object]] = []
-    for row in rows:
-        out: Dict[str, object] = {
+    out_rows = [
+        {
             "index": int(row["index"]),
             "values": {k: float(v) for k, v in row["values"].items()},
             "objectives": {
@@ -173,9 +219,8 @@ def export_json(
             },
             "error": str(row.get("error", "")),
         }
-        if "source" in row:
-            out["source"] = str(row["source"])
-        out_rows.append(out)
+        for row in rows
+    ]
     payload: Dict[str, object] = {
         "format": "powerplay-sweep-results/1",
         "axes": list(axis_names),

@@ -31,15 +31,13 @@ import numpy as np
 from ..core.expressions import COLUMN, Expression, compile_expression
 from ..errors import ExploreError
 
-#: hard ceiling a caller-supplied cap cannot exceed — a sweep bigger
-#: than this belongs on more than one job
+#: the most points a sweep that keeps every row may have; past it only
+#: a pruned sweep, which holds its Pareto front, may run
+#: (:func:`check_held_points`)
 ABSOLUTE_POINT_CAP = 1_000_000
 
-#: the ceiling for **lazy** spaces (``lazy=True``): enumeration that is
-#: never materialized row-by-row — the surrogate engine predicts most
-#: points from a fitted model and only ever exact-evaluates a sampled
-#: subset, so it may enumerate far past the exact-sweep cap
-LAZY_POINT_CAP = 16_777_216
+#: hard ceiling a caller-supplied cap cannot exceed
+SPACE_POINT_CAP = 16_777_216
 
 DEFAULT_POINT_CAP = 100_000
 
@@ -343,7 +341,6 @@ class ParameterSpace:
         axes: Sequence[Axis],
         coupled: Sequence[CoupledParam] = (),
         point_cap: int = DEFAULT_POINT_CAP,
-        lazy: bool = False,
         *,
         check_names: bool = True,
     ):
@@ -371,24 +368,17 @@ class ParameterSpace:
                 )
         if point_cap < 1:
             raise ExploreError(f"point cap must be >= 1, got {point_cap}")
-        # surrogate runs enumerate lazily (predicted, never materialized
-        # row-by-row), so they may raise the ceiling — exact sweeps stay
-        # bounded by ABSOLUTE_POINT_CAP
-        ceiling = LAZY_POINT_CAP if lazy else ABSOLUTE_POINT_CAP
-        point_cap = min(int(point_cap), ceiling)
+        point_cap = min(int(point_cap), SPACE_POINT_CAP)
         self.axes: Tuple[Axis, ...] = tuple(axes)
         self.coupled: Tuple[CoupledParam, ...] = tuple(coupled)
         self.point_cap = point_cap
-        self.lazy = bool(lazy)
         total = 1
         for axis in self.axes:
             total *= len(axis)
             if total > point_cap:
                 raise ExploreError(
                     f"space has at least {total} points, over the cap of "
-                    f"{point_cap}; shrink an axis or raise --max-points "
-                    "(surrogate sweeps may enumerate lazily past the "
-                    "exact-sweep ceiling)"
+                    f"{point_cap}; shrink an axis or raise --max-points"
                 )
         self._total = total
         self._arrays: Optional[List[np.ndarray]] = None  # axis values
@@ -476,15 +466,12 @@ class ParameterSpace:
     # -- persistence -------------------------------------------------------
 
     def to_payload(self) -> dict:
-        payload = {
+        return {
             "format": "powerplay-space/1",
             "axes": [axis.to_payload() for axis in self.axes],
             "coupled": [couple.to_payload() for couple in self.coupled],
             "point_cap": self.point_cap,
         }
-        if self.lazy:
-            payload["lazy"] = True
-        return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "ParameterSpace":
@@ -496,7 +483,6 @@ class ParameterSpace:
             [Axis.from_payload(a) for a in payload.get("axes", [])],
             [CoupledParam.from_payload(c) for c in payload.get("coupled", [])],
             point_cap=int(payload.get("point_cap", DEFAULT_POINT_CAP)),
-            lazy=bool(payload.get("lazy", False)),
             check_names=False,
         )
 
@@ -505,4 +491,17 @@ class ParameterSpace:
         return (
             f"ParameterSpace({', '.join(self.axis_names)}: {shape} = "
             f"{self._total} points)"
+        )
+
+
+def check_held_points(space: ParameterSpace, prune: bool) -> None:
+    """Refuse a sweep that would hold every row of more than
+    :data:`ABSOLUTE_POINT_CAP` points; a pruned sweep holds only its
+    Pareto front, so any space may be pruned."""
+    if not prune and len(space) > ABSOLUTE_POINT_CAP:
+        raise ExploreError(
+            f"a sweep that keeps every row may have at most "
+            f"{ABSOLUTE_POINT_CAP} points, and this space has "
+            f"{len(space)}; prune it (--prune) to keep only the Pareto "
+            "front, or shrink an axis"
         )

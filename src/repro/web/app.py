@@ -58,7 +58,6 @@ from ..explore import (
     DerivedObjective,
     JobStore,
     ParameterSpace,
-    coerce_surrogate,
     coupled_from_spec,
     export_csv,
     export_json,
@@ -1077,35 +1076,11 @@ class Application:
                     f"unknown objective {objective!r}: choose from "
                     "power, area, delay (or add it under 'derive')"
                 )
-        surrogate = None
-        if data.get("surrogate", "no") == "yes":
-            # JobError subclasses ExploreError, so a bad fraction or
-            # basis re-renders the form like any other field mistake
-            surrogate = coerce_surrogate(
-                {
-                    "train_frac": self._sweep_float(
-                        data, "train_frac", 0.01
-                    ),
-                    "train_seed": self._sweep_int(
-                        data, "train_seed", 1996
-                    ),
-                    "verify_top": self._sweep_int(
-                        data, "verify_top", 64
-                    ),
-                    "max_error": self._sweep_float(
-                        data, "max_error", 0.0
-                    ),
-                    "basis": (data.get("basis") or "auto").strip(),
-                }
-            )
         point_cap = self._sweep_int(data, "point_cap", 0)
-        lazy = surrogate is not None
         if point_cap > 0:
-            space = ParameterSpace(
-                axes, coupled, point_cap=point_cap, lazy=lazy
-            )
+            space = ParameterSpace(axes, coupled, point_cap=point_cap)
         else:
-            space = ParameterSpace(axes, coupled, lazy=lazy)
+            space = ParameterSpace(axes, coupled)
         return self.jobs.create(
             design,
             space,
@@ -1116,7 +1091,6 @@ class Application:
             mode=data.get("mode", "serial"),
             chunk_size=self._sweep_int(data, "chunk_size", 16),
             prune=data.get("prune", "no") == "yes",
-            surrogate=surrogate,
         )
 
     def _sweep_form(self, data: Mapping[str, str]) -> Response:
@@ -1200,11 +1174,6 @@ class Application:
         sensitivity = sensitivity_ranking(
             rows, axis_names, objective=objective_names[0]
         )
-        surrogate = None
-        if job.surrogate is not None:
-            from ..surrogate.runner import surrogate_report
-
-            surrogate = surrogate_report(job).to_payload()
         return Response(
             body=pages.sweep_results_page(
                 user,
@@ -1215,7 +1184,6 @@ class Application:
                 sensitivity,
                 total_rows=job.total_points,
                 auth=self._auth_token(user),
-                surrogate=surrogate,
             )
         )
 

@@ -651,54 +651,7 @@ def sweep_form_page(
         H.labelled_field(
             "prune",
             H.select("prune", ["no", "yes"], filled.get("prune", "no")),
-            "keep only Pareto-optimal rows",
-        ),
-        H.labelled_field(
-            "surrogate",
-            H.select(
-                "surrogate", ["no", "yes"], filled.get("surrogate", "no")
-            ),
-            "fit-predict-verify: exact-evaluate a sample, predict the "
-            "rest, re-verify the predicted frontier",
-        ),
-        H.labelled_field(
-            "train_frac",
-            H.text_input(
-                "train_frac", filled.get("train_frac", "0.01"), size=6
-            ),
-            "surrogate: fraction of points exact-evaluated for training",
-        ),
-        H.labelled_field(
-            "train_seed",
-            H.text_input(
-                "train_seed", filled.get("train_seed", "1996"), size=6
-            ),
-            "surrogate: training-sample seed (same seed, same sample)",
-        ),
-        H.labelled_field(
-            "verify_top",
-            H.text_input(
-                "verify_top", filled.get("verify_top", "64"), size=6
-            ),
-            "surrogate: exact re-verification budget (front first, "
-            "then the most uncertain predictions)",
-        ),
-        H.labelled_field(
-            "max_error",
-            H.text_input(
-                "max_error", filled.get("max_error", ""), size=6
-            ),
-            "surrogate: optional holdout error budget (e.g. 0.1 fails "
-            "the job if the fitted bound is worse than 10%)",
-        ),
-        H.labelled_field(
-            "basis",
-            H.select(
-                "basis",
-                ["auto", "linear", "quadratic", "cubic", "log"],
-                filled.get("basis", "auto"),
-            ),
-            "surrogate: regression basis (auto races them on holdout)",
+            "keep only Pareto-optimal rows (needed past 1,000,000 points)",
         ),
     ]
     body: List[H.Content] = []
@@ -733,12 +686,6 @@ def sweep_job_page(user: str, summary: Mapping, auth: str = "") -> str:
                class_="num")],
         ["Objectives", summary["objectives"]],
     ]
-    if summary.get("surrogate"):
-        rows.append(
-            ["Surrogate",
-             "fit-predict-verify (progress counts exact "
-             "train + verify points only)"]
-        )
     if summary.get("error"):
         rows.append(["Error", H.tag("span", summary["error"], class_="error")])
     body: List[H.Content] = [H.table(rows, header=["Field", "Value"])]
@@ -792,21 +739,11 @@ def sweep_results_page(
     sensitivity: Sequence[Mapping],
     total_rows: int,
     auth: str = "",
-    surrogate: Optional[Mapping] = None,
 ) -> str:
-    """``GET /sweep/result`` — Pareto frontier + sensitivity ranking.
-
-    For surrogate jobs the frontier table gains a ``source`` column
-    (``exact`` rows were measured by the real estimator, ``predicted``
-    rows are surrogate output the verification budget did not reach)
-    and the page opens with the fit-predict-verify report panel.
-    """
+    """``GET /sweep/result`` — Pareto frontier + sensitivity ranking."""
     q = cred(user, auth)
     job_id = summary["job_id"]
-    with_source = surrogate is not None
     header = ["#", *axis_names, *objective_names]
-    if with_source:
-        header.append("source")
     rows: List[List[H.Content]] = []
     for row in front_rows:
         cells: List[H.Content] = [str(row["index"])]
@@ -820,8 +757,6 @@ def sweep_results_page(
                 H.tag("span", format_quantity(float(row["objectives"][name])),
                       class_="num")
             )
-        if with_source:
-            cells.append(str(row.get("source", "exact")))
         rows.append(cells)
     sens_rows = [
         [
@@ -845,58 +780,6 @@ def sweep_results_page(
             )
         ),
     ]
-    if surrogate is not None:
-        verified_front = sum(
-            1 for row in front_rows
-            if row.get("source", "exact") == "exact"
-        )
-        panel_rows: List[List[H.Content]] = [
-            ["Space",
-             H.tag("span", f"{surrogate['total_points']} points",
-                   class_="num")],
-            ["Trained (exact)",
-             H.tag("span", str(surrogate["train_points"]), class_="num")],
-            ["Predicted",
-             H.tag("span", str(surrogate["predicted_points"]),
-                   class_="num")],
-            ["Verified (exact)",
-             H.tag("span", str(surrogate["verified_points"]),
-                   class_="num")],
-            ["Frontier verified",
-             H.tag("span",
-                   f"{verified_front}/{len(front_rows)} rows exact",
-                   class_="num")],
-            ["Error bound (holdout)",
-             H.tag("span", f"{100.0 * surrogate['error_bound']:.4f}%",
-                   class_="num")],
-            ["Observed error (verified rows)",
-             H.tag("span",
-                   f"{100.0 * surrogate['observed_max_rel']:.4f}%",
-                   class_="num")],
-        ]
-        if surrogate.get("dropped_non_finite"):
-            panel_rows.append(
-                ["Dropped non-finite predictions",
-                 H.tag("span", str(surrogate["dropped_non_finite"]),
-                       class_="num")]
-            )
-        for name, entry in sorted(surrogate.get("fits", {}).items()):
-            panel_rows.append(
-                [f"Fit: {name}",
-                 H.tag(
-                     "span",
-                     f"{entry['basis']} basis, holdout max "
-                     f"{100.0 * entry['holdout_max_rel']:.4f}% / p95 "
-                     f"{100.0 * entry['holdout_p95_rel']:.4f}%",
-                     class_="num",
-                 )]
-            )
-        body.extend(
-            [
-                H.heading("Surrogate fit-predict-verify", 2),
-                H.table(panel_rows, header=["Field", "Value"]),
-            ]
-        )
     body.extend([
         H.heading("Pareto frontier", 2),
         H.table(rows, header=header,

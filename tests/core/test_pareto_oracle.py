@@ -1,8 +1,8 @@
 """One brute-force oracle for every Pareto entry point.
 
 ``pareto_mask`` is the only dominance code in PowerPlay:
-``pareto_rows``, ``pareto_front`` and ``pareto_points`` all select their
-rows with it.  Each is checked here against a plain O(n^2) reading of
+``pareto_rows``, the running ``ParetoFront`` of pruned sweeps and jobs,
+``pareto_front`` and ``pareto_points`` all select their rows with it.  Each is checked here against a plain O(n^2) reading of
 the definition, on seeded integer-valued grids (small integers give
 many exact ties) with signed zeros, 1-4 objectives, failed rows and
 NaN/+-inf rows.
@@ -22,7 +22,7 @@ from repro.core.optimize import (
     pareto_points,
 )
 from repro.errors import ModelError
-from repro.explore.results import pareto_rows
+from repro.explore.results import ParetoFront, pareto_rows
 
 SEEDS = range(60)
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -86,32 +86,52 @@ SIGNED_ZEROS = [(0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (1.0, 0.0),
                 (0.0, 2.0)]
 
 
+def expected_front(rows, names):
+    """The reference front of result rows: failed and non-finite rows
+    dropped, the rest through ``reference_front``, in input order."""
+    usable = [
+        row for row in rows
+        if not row["error"]
+        and all(math.isfinite(v) for v in row["objectives"].values())
+    ]
+    vectors = [
+        tuple(row["objectives"][name] for name in names) for row in usable
+    ]
+    return [usable[i] for i in reference_front(vectors)]
+
+
 @pytest.mark.parametrize("objectives", [1, 2, 3, 4])
 def test_pareto_rows_matches_reference(objectives):
     names = [f"o{k}" for k in range(objectives)]
     for seed in SEEDS:
         rng = random.Random(f"rows/{objectives}/{seed}")
         rows = grid_rows(rng, rng.randint(0, 60), names)
-        failed = [row for row in rows if row["error"]]
-        usable = [
-            row for row in rows
-            if not row["error"]
-            and all(math.isfinite(v) for v in row["objectives"].values())
-        ]
-        vectors = [
-            tuple(row["objectives"][name] for name in names)
-            for row in usable
-        ]
-        expected = [usable[i] for i in reference_front(vectors)]
-        stats = {}
-        front = pareto_rows(rows, names, stats=stats)
+        expected = expected_front(rows, names)
+        front = pareto_rows(rows, names)
         assert [row["index"] for row in front] == \
             [row["index"] for row in expected], f"seed {seed}"
         assert all(got is want for got, want in zip(front, expected))
-        assert stats == {
-            "dropped_failed": len(failed),
-            "dropped_non_finite": len(rows) - len(failed) - len(usable),
-        }, f"seed {seed}"
+
+
+@pytest.mark.parametrize("objectives", [1, 2, 3, 4])
+def test_running_front_matches_reference(objectives):
+    """The fold a pruned sweep or job applies chunk by chunk: the grid
+    cut into random chunks that arrive in random order."""
+    names = [f"o{k}" for k in range(objectives)]
+    for seed in SEEDS:
+        rng = random.Random(f"fold/{objectives}/{seed}")
+        rows = grid_rows(rng, rng.randint(0, 60), names)
+        cuts = sorted(rng.sample(range(1, max(1, len(rows))),
+                                 min(max(0, len(rows) - 1), rng.randint(0, 9))))
+        chunks = [rows[a:b] for a, b in zip([0] + cuts, cuts + [len(rows)])]
+        rng.shuffle(chunks)
+        front = ParetoFront(names)
+        for chunk in chunks:
+            front.fold(chunk)
+        expected = expected_front(rows, names)
+        assert [row["index"] for row in front.rows] == \
+            [row["index"] for row in expected], f"seed {seed}"
+        assert all(got is want for got, want in zip(front.rows, expected))
 
 
 @pytest.mark.parametrize("block", [2048, 5])

@@ -175,22 +175,6 @@ def test_exports_identical_across_chunk_sizes(per_point, chunk_size):
     assert outcome.report.columnar == expected
 
 
-def test_scattered_index_lists_match(per_point):
-    space, reference = per_point
-    order = list(range(len(space)))
-    random.Random(3).shuffle(order)
-    chunks = [(key, order[start:start + 29])
-              for key, start in enumerate(range(0, len(order), 29))]
-    records, report = run_chunks(build_infopad(), space, chunks,
-                                 derived=(ACCESS_TIME,))
-    rows = {row["index"]: row for record in records.values() for row in record["rows"]}
-    rows = [rows[index] for index in range(len(space))]
-    assert rows == reference.rows
-    assert exports(reference, rows) == exports(reference)
-    assert report.columnar == sum(len(indices) for _key, indices in chunks
-                                  if len(indices) >= COLUMNAR_MIN_POINTS)
-
-
 def test_job_checkpoints_and_resume_match_per_point(per_point, tmp_path):
     space, reference = per_point
     job = JobStore(tmp_path).create(build_infopad(), space, derived=(ACCESS_TIME,),
@@ -217,9 +201,10 @@ def test_a_falling_back_chunk_between_columnar_chunks():
     failing = size + 3
     slack = DerivedObjective("slack", f"1 / (VDD - {supplies[failing]!r})")
     reference = run_sweep(design, space, derived=(slack,), chunk_size=1)
-    chunks = [(key, range(key * size, (key + 1) * size)) for key in range(3)]
-    records, report = run_chunks(design, space, chunks, derived=(slack,))
-    rows = [row for key in sorted(records) for row in records[key]["rows"]]
+    rows = []
+    report = run_chunks(design, space, space.chunks(size), derived=(slack,),
+                        on_chunk=lambda start, stop, chunk, seconds, failed:
+                            rows.extend(chunk))
     assert rows == reference.rows
     assert exports(reference, rows) == exports(reference)
     assert [row["index"] for row in rows if row["error"]] == [failing]

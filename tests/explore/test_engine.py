@@ -19,7 +19,7 @@ from repro.explore import (
     run_sweep,
 )
 from repro.errors import ExploreError
-from repro.explore.engine import run_chunks, run_job
+from repro.explore.engine import run_job
 from repro.explore.space import CoupledParam
 
 ADDER = TemplatePowerModel(
@@ -237,67 +237,3 @@ class TestResumeEquivalence:
         # their recorded rows are the exact same payloads
         for start, chunk in done_before.items():
             assert revived.chunks[start]["rows"] == chunk["rows"]
-
-
-class TestIndexChunks:
-    """Scattered-index evaluation: the surrogate engine's exact phases."""
-
-    def records(self, mode="serial", workers=1, **kwargs):
-        space = make_space()
-        chunks = [(0, [0, 3, 7]), (1, [1, 11]), (2, [5])]
-        records, report = run_chunks(
-            make_design(), space, chunks, mode=mode, workers=workers,
-            **kwargs,
-        )
-        return space, records, report
-
-    def test_rows_match_exact_estimator(self):
-        space, records, report = self.records()
-        assert sorted(records) == [0, 1, 2]
-        assert report.points == 6
-        design = make_design()
-        for record in records.values():
-            for row, index in zip(record["rows"], record["indices"]):
-                assert row["index"] == index
-                point = space.point(index)
-                assert row["values"] == point["values"]
-                with scope_overrides(design.scope, point["overrides"]):
-                    expected = evaluate_power(design).power
-                assert row["objectives"]["power"] == expected
-
-    @staticmethod
-    def stable(records):
-        """Everything but wall-clock timing."""
-        return {
-            ordinal: {
-                "indices": record["indices"], "rows": record["rows"]
-            }
-            for ordinal, record in records.items()
-        }
-
-    def test_process_mode_identical_to_serial(self):
-        _, serial, _ = self.records()
-        _, procs, _ = self.records(mode="process", workers=2)
-        assert self.stable(procs) == self.stable(serial)
-
-    def test_on_chunk_fires_per_ordinal(self):
-        seen = []
-        self.records(
-            on_chunk=lambda ordinal, indices, rows, seconds:
-                seen.append((ordinal, tuple(indices), len(rows)))
-        )
-        assert sorted(seen) == [(0, (0, 3, 7), 3), (1, (1, 11), 2),
-                                (2, (5,), 1)]
-
-    def test_should_stop_halts_between_chunks(self):
-        calls = {"n": 0}
-
-        def stop():
-            calls["n"] += 1
-            return calls["n"] > 1
-
-        records, _ = run_chunks(
-            make_design(), make_space(),
-            [(0, [0]), (1, [1]), (2, [2])], should_stop=stop,
-        )
-        assert len(records) < 3

@@ -21,7 +21,6 @@ from repro.explore import (
     validate_job_id,
 )
 from repro.explore.engine import run_job
-from repro.explore.jobs import coerce_surrogate
 
 ADDER = TemplatePowerModel(
     "adder",
@@ -76,12 +75,15 @@ class TestStore:
             make_design(), make_space(), owner="alice",
             workers=3, mode="process", chunk_size=2, prune=True,
         )
-        job.record_chunk(0, 2, [{"index": 0}, {"index": 1}], 0.5)
+        job.record_chunk(0, 2, [{"index": 0, "values": {"VDD": 1.0},
+                                 "objectives": {"power": 1.0}, "error": ""}],
+                         0.5, 1)
         # a fresh store simulates a process that crashed and restarted
         revived = JobStore(tmp_path).job(job.job_id)
         assert revived.owner == "alice"
         assert revived.mode == "process"
         assert revived.done_points == 2
+        assert revived.failed_points == 1
         assert revived.pending_chunks() == [(2, 4), (4, 6)]
 
     def test_corrupt_checkpoint_quarantined(self, tmp_path):
@@ -131,7 +133,7 @@ class TestStore:
         job = store.create(make_design(), make_space(), chunk_size=2)
         for start, stop in job.pending_chunks():
             job.record_chunk(start, stop, [{"index": i}
-                                           for i in range(start, stop)], 0.0)
+                                           for i in range(start, stop)], 0.0, 0)
         leftovers = [p for p in tmp_path.iterdir()
                      if p.suffix == ".saving"]
         assert leftovers == []
@@ -142,7 +144,7 @@ class TestStore:
         path = tmp_path / f"{job.job_id}.json"
         for start, stop in job.pending_chunks():
             job.record_chunk(start, stop, [{"index": i}
-                                           for i in range(start, stop)], 0.0)
+                                           for i in range(start, stop)], 0.0, 0)
             payload = json.loads(path.read_text())  # never torn
             assert payload["format"] == "powerplay-job/1"
 
@@ -245,10 +247,3 @@ class TestPrune:
         assert export_json(rows, *names) == export_json(
             outcome.rows, *names
         )
-
-
-class TestSurrogateConfig:
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
-    def test_bad_max_error_rejected(self, bad):
-        with pytest.raises(JobError, match="max_error"):
-            coerce_surrogate({"max_error": bad})

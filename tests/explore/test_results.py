@@ -110,14 +110,19 @@ class TestExports:
         assert payload["axes"] == ["a"]
         assert len(payload["rows"]) == 2
 
+    def test_csv_header_is_index_axes_objectives_error(self):
+        plain = [row(0, {"a": 1.0}, {"power": 1.0})]
+        lines = export_csv(plain, ["a"], ["power"]).splitlines()
+        assert lines[0] == "index,a,power,error"
+
     def test_json_meta_included(self):
         text = export_json(self.rows(), ["a"], ["power"], meta={"job": "x"})
         assert json.loads(text)["meta"] == {"job": "x"}
 
 
 class TestNonFiniteHardening:
-    """Predicted values can go non-finite; analysis must drop, not
-    propagate."""
+    """A derived objective can be NaN or inf at a corner of the space;
+    analysis must drop, not propagate."""
 
     def rows(self):
         return [
@@ -132,11 +137,6 @@ class TestNonFiniteHardening:
         front = pareto_rows(self.rows(), ("power", "delay"))
         assert [r["index"] for r in front] == [0, 3]
 
-    def test_pareto_stats_count_drops(self):
-        stats = {}
-        pareto_rows(self.rows(), ("power", "delay"), stats=stats)
-        assert stats == {"dropped_failed": 1, "dropped_non_finite": 2}
-
     def test_nan_never_wins_single_objective(self):
         front = pareto_rows(self.rows(), ("power",))
         assert [r["index"] for r in front] == [0]
@@ -148,29 +148,3 @@ class TestNonFiniteHardening:
         for entry in ranking:
             assert math.isfinite(entry["spread"])
             assert math.isfinite(entry["relative"])
-
-
-class TestSourceColumn:
-    def rows(self):
-        marked = row(0, {"a": 1.0}, {"power": 1.0})
-        marked["source"] = "predicted"
-        return [marked, row(1, {"a": 2.0}, {"power": 2.0})]
-
-    def test_csv_adds_source_column_when_present(self):
-        lines = export_csv(self.rows(), ["a"], ["power"]).splitlines()
-        assert lines[0] == "index,a,power,source,error"
-        assert lines[1].split(",")[3] == "predicted"
-        # rows without the key in a mixed set default to exact
-        assert lines[2].split(",")[3] == "exact"
-
-    def test_csv_unmarked_rows_keep_legacy_header(self):
-        plain = [row(0, {"a": 1.0}, {"power": 1.0})]
-        lines = export_csv(plain, ["a"], ["power"]).splitlines()
-        assert lines[0] == "index,a,power,error"
-
-    def test_json_carries_source_only_when_marked(self):
-        payload = json.loads(export_json(self.rows(), ["a"], ["power"]))
-        assert payload["rows"][0]["source"] == "predicted"
-        plain = [row(0, {"a": 1.0}, {"power": 1.0})]
-        payload = json.loads(export_json(plain, ["a"], ["power"]))
-        assert "source" not in payload["rows"][0]

@@ -1,8 +1,8 @@
 """Edge cases of the shared least-squares solver.
 
-``_lstsq`` is load-bearing twice over: the Landman characterization
-fits (EQ 3/4) and every surrogate regression ride the same rank-checked
-solve, so its failure modes are part of both subsystems' contracts.
+``_lstsq`` is the rank-checked solve behind the Landman
+characterization fits (EQ 3/4), so its failure modes are part of
+characterization's contract.
 """
 
 import numpy as np
@@ -69,8 +69,7 @@ class TestLstsqEdges:
 
     def test_non_finite_measurements_do_not_crash_the_rank_check(self):
         # lstsq happily returns NaN coefficients for NaN inputs; the
-        # callers (fit_surrogates, characterize) are responsible for
-        # filtering.  This pins the division of labor: _lstsq checks
+        # caller (characterize) is responsible for filtering.  This pins the division of labor: _lstsq checks
         # shape and rank, nothing else.
         xs = np.array([1.0, 2.0, 3.0, 4.0])
         solution = _lstsq(design(xs), np.array([1.0, np.nan, 2.0, 3.0]))

@@ -147,6 +147,74 @@ class TestEngineSweep:
         assert code == 2
         assert "--axis" in err
 
+    def test_over_cap_error_names_max_points(self, capsys):
+        code, _out, err = run(
+            capsys, "sweep", "fig1",
+            "--axis", "VDD=1.0:3.0:0.0001",
+            "--axis", "f=1e6:3e6:1e4",
+        )
+        assert code == 2
+        assert "--max-points" in err
+
+    def test_max_points_raises_the_cap(self, capsys, tmp_path):
+        code, out, _err = run(
+            capsys, "sweep", "fig1",
+            "--axis", "VDD=1.0:3.0:0.01",
+            "--axis", "f=1e6:3e6:2e3",  # 201 * 1001 > default cap
+            "--max-points", "250000",
+            "--state", str(tmp_path), "--max-chunks", "1",
+        )
+        assert code == 1  # stopped after one chunk, resumable
+        assert "points=64/201201" in out
+
+    MILLION = ["--axis", "VDD=1.0:3.0:0.002", "--axis", "f=1e6:3e6:2e3",
+               "--max-points", "2000000"]  # 1001 * 1001 points
+
+    def test_over_a_million_points_needs_prune(self, capsys, tmp_path):
+        code, _out, err = run(capsys, "sweep", "fig1", *self.MILLION)
+        assert code == 2 and "--prune" in err
+        code, _out, err = run(capsys, "sweep", "fig1", *self.MILLION,
+                              "--state", str(tmp_path))
+        assert code == 2 and "--prune" in err
+        assert not (tmp_path / "jobs").exists() or \
+            not list((tmp_path / "jobs").iterdir())
+
+    def test_a_pruned_job_may_pass_a_million_points(self, capsys, tmp_path):
+        code, out, _err = run(capsys, "sweep", "fig1", *self.MILLION,
+                              "--prune", "--chunk-size", "4096",
+                              "--state", str(tmp_path), "--max-chunks", "1")
+        assert code == 1  # stopped after one chunk, resumable
+        assert "points=4096/1002001" in out
+
+
+class TestPrunedFailures:
+    """A pruned sweep drops its failed rows but still reports them."""
+
+    ARGV = [
+        "sweep", "infopad", "--axis", "bw=8,12", "--axis", "VDD2=1.5,2.0",
+        "--couple", "custom_hardware.luminance_chip.write_bank.bits"
+                    "=96 / (bw - 8)",
+        "--derive", "access_time=2e-8 * (VDD2 / 1.5) / ((VDD2 - 0.7) ^ 1.3)",
+    ]
+
+    @pytest.mark.parametrize("prune", [[], ["--prune"]])
+    def test_stateless(self, capsys, prune):
+        code, out, _err = run(capsys, *self.ARGV, *prune)
+        assert code == 0
+        assert "warning: 2 point(s) failed to evaluate" in out
+        assert "pareto front over (power, access_time): 2 of 4 points" in out
+
+    @pytest.mark.parametrize("prune", [[], ["--prune"]])
+    def test_with_state(self, capsys, tmp_path, prune):
+        code, out, _err = run(capsys, *self.ARGV, *prune,
+                              "--state", str(tmp_path))
+        assert code == 0
+        assert "warning: 2 point(s) failed to evaluate" in out
+        assert "pareto front over (power, access_time): 2 of 4 points" in out
+        code, out, _err = run(capsys, "sweep", "infopad", "--resume",
+                              "job-0001", "--state", str(tmp_path))
+        assert code == 2 and "is done" in _err
+
 
 class TestOptimize:
     def test_fig3_reports_saving(self, capsys):
@@ -183,82 +251,3 @@ class TestCharacterize:
         assert code == 0
         assert "c_per_bit" in out
         assert "R^2" in out
-
-
-class TestSurrogateCLI:
-    AXES = [
-        "--axis", "VDD=1.0:3.0:0.1",
-        "--axis", "f=1e6:3e6:1e5",
-    ]
-
-    def test_ephemeral_surrogate_sweep(self, capsys):
-        code, out, _err = run(
-            capsys, "sweep", "fig1", *self.AXES,
-            "--derive", "slowness=1 / VDD",
-            "--surrogate", "--train-frac", "0.3", "--verify-top", "10",
-        )
-        assert code == 0
-        assert "surrogate job" in out
-        assert "trained on" in out and "error bound" in out
-
-    def test_surrogate_interrupt_resume_byte_identical(
-        self, capsys, tmp_path
-    ):
-        fresh = tmp_path / "fresh.json"
-        code, _out, _err = run(
-            capsys, "sweep", "fig1", *self.AXES,
-            "--surrogate", "--train-frac", "0.3",
-            "--json-out", str(fresh),
-        )
-        assert code == 0
-
-        state = str(tmp_path / "state")
-        code, out, _err = run(
-            capsys, "sweep", "fig1", *self.AXES,
-            "--surrogate", "--train-frac", "0.3",
-            "--state", state, "--max-chunks", "1",
-        )
-        assert code == 1
-        assert "--resume job-0001" in out
-
-        resumed = tmp_path / "resumed.json"
-        code, out, _err = run(
-            capsys, "sweep", "fig1", "--resume", "job-0001",
-            "--state", state, "--json-out", str(resumed),
-        )
-        assert code == 0
-        assert resumed.read_text() == fresh.read_text()
-
-    def test_max_error_budget_fails_fast(self, capsys, tmp_path):
-        state = str(tmp_path)
-        code, _out, err = run(
-            capsys, "sweep", "fig1", *self.AXES,
-            "--surrogate", "--train-frac", "0.3",
-            "--basis", "linear", "--max-error", "1e-12",
-            "--state", state,
-        )
-        assert code == 2
-        assert "max-error" in err
-        # the job checkpoint records the failure, not a silent wedge
-        code, out, _err = run(capsys, "jobs", "--state", state)
-        assert code == 0
-        assert "failed" in out
-
-    def test_over_cap_error_names_max_points(self, capsys):
-        code, _out, err = run(
-            capsys, "sweep", "fig1",
-            "--axis", "VDD=1.0:3.0:0.0001",
-            "--axis", "f=1e6:3e6:1e4",
-        )
-        assert code == 2
-        assert "--max-points" in err
-
-    def test_max_points_raises_the_cap(self, capsys):
-        code, out, _err = run(
-            capsys, "sweep", "fig1",
-            "--axis", "VDD=1.0:3.0:0.01",
-            "--axis", "f=1e6:3e6:1e4",  # 201 * 201 > default cap
-            "--max-points", "200000", "--surrogate",
-        )
-        assert code == 0
-        assert "surrogate job" in out

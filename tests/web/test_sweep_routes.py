@@ -208,74 +208,30 @@ class TestPrunedJob:
         assert "1 Pareto-optimal of 6 evaluated points" in html.body
 
 
-SURROGATE_FORM = {
-    "design": "example:luminance_fig1",
-    "axes": "VDD=1.0:3.0:0.1\nf=1e6:3e6:1e5",
-    "objectives": "power",
-    "surrogate": "yes",
-    "train_frac": "0.3",
-    "train_seed": "7",
-    "verify_top": "10",
-    "mode": "serial",
-    "workers": "1",
-    "chunk_size": "64",
-}
+class TestMillionPoints:
+    """Past ABSOLUTE_POINT_CAP only a pruned sweep is accepted."""
 
+    FORM = {
+        "axes": "VDD=1.0:3.0:0.002\nf=1e6:3e6:2e3",  # 1001 x 1001 points
+        "point_cap": "2000000",
+        "chunk_size": "4096",
+    }
 
-class TestSurrogateSweep:
-    def test_submit_poll_results(self, app):
-        job_id = submit_and_finish(app, **SURROGATE_FORM)
+    def test_unpruned_is_400(self, app):
+        response = post(app, "/sweep", **{**GOOD_FORM, **self.FORM})
+        assert response.status == 400
+        assert "--prune" in response.body and "Launch sweep" in response.body
+        assert app.jobs.job_ids() == []
+
+    def test_pruned_is_accepted(self, app):
+        response = post(app, "/sweep", **{**GOOD_FORM, **self.FORM},
+                        prune="yes")
+        assert response.status == 303
+        job_id = response.headers["Location"].rsplit("job=", 1)[1]
+        assert post(app, "/sweep/cancel", user=USER, job=job_id).status == 303
+        started = time.monotonic()
+        while app.jobs.job(job_id).state in ("pending", "running"):
+            assert time.monotonic() - started < 30, "job never stopped"
+            time.sleep(0.05)
         job = app.jobs.job(job_id)
-        assert job.surrogate is not None
-        # exact evaluations stay well under the full enumeration
-        assert job.done_points < job.total_points
-
-        status = get(app, f"/sweep/job?user={USER}&job={job_id}")
-        assert "fit-predict-verify" in status.body
-
-        result = get(app, f"/sweep/result?user={USER}&job={job_id}")
-        assert result.status == 200
-        assert "Surrogate fit-predict-verify" in result.body
-        assert "Error bound" in result.body
-
-    def test_exports_mark_sources(self, app):
-        job_id = submit_and_finish(app, **SURROGATE_FORM)
-        csv = get(app, f"/sweep/result?user={USER}&job={job_id}&fmt=csv")
-        assert "source" in csv.body.splitlines()[0]
-        exported = get(
-            app, f"/sweep/result?user={USER}&job={job_id}&fmt=json"
-        )
-        payload = json.loads(exported.body)
-        assert {r["source"] for r in payload["rows"]} <= {
-            "exact", "predicted"
-        }
-        assert any(r["source"] == "exact" for r in payload["rows"])
-
-    def test_bad_train_frac_is_400(self, app):
-        form = dict(GOOD_FORM)
-        form.update(SURROGATE_FORM, train_frac="1.5")
-        response = post(app, "/sweep", **form)
-        assert response.status == 400
-        assert "train fraction" in response.body
-
-    def test_non_numeric_surrogate_field_is_400(self, app):
-        form = dict(GOOD_FORM)
-        form.update(SURROGATE_FORM, verify_top="lots")
-        response = post(app, "/sweep", **form)
-        assert response.status == 400
-        assert "verify_top" in response.body
-
-    def test_nan_max_error_is_400(self, app):
-        form = dict(GOOD_FORM)
-        form.update(SURROGATE_FORM, max_error="nan")
-        response = post(app, "/sweep", **form)
-        assert response.status == 400
-        assert "max_error" in response.body
-
-    def test_exhaustive_form_unaffected(self, app):
-        """surrogate=no (the default) keeps the legacy exact pipeline."""
-        job_id = submit_and_finish(app)
-        job = app.jobs.job(job_id)
-        assert job.surrogate is None
-        csv = get(app, f"/sweep/result?user={USER}&job={job_id}&fmt=csv")
-        assert "source" not in csv.body.splitlines()[0]
+        assert job.prune and job.total_points == 1_002_001
