@@ -30,6 +30,7 @@ from repro.explore import (
     JobStore,
     ParameterSpace,
     export_json,
+    pareto_rows,
     run_sweep,
 )
 from repro.explore.engine import run_chunks, run_job
@@ -104,6 +105,20 @@ def test_chunks_append_and_state_changes_fold(kind, prune, tmp_path):
     folded = JobStore(tmp_path, backend=kind).job(job.job_id)
     assert folded.done_points == 16 and folded.failed_points == 6
     assert folded.to_payload() == revived.to_payload() | {"state": "cancelled"}
+
+
+@pytest.mark.parametrize("mode, workers", [("serial", 1), ("process", 2)])
+@pytest.mark.parametrize("chunk_size", [7, 16])
+def test_pruned_job_rows_equal_pareto_rows_over_all_rows(kind, mode, workers,
+                                                         chunk_size, tmp_path):
+    job = JobStore(tmp_path, backend=kind).create(
+        build_infopad(), make_space(), derived=(ACCESS_TIME,),
+        chunk_size=chunk_size, mode=mode, workers=workers, prune=True)
+    run_job(job)
+    revived = JobStore(tmp_path, backend=kind).job(job.job_id)
+    full = run_sweep(build_infopad(), make_space(), derived=(ACCESS_TIME,))
+    expected = pareto_rows(full.rows, full.objective_names)
+    assert job.result_rows() == revived.result_rows() == expected
 
 
 def test_pruned_job_keeps_only_its_front(tmp_path):

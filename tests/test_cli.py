@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -203,6 +205,23 @@ class TestPrunedFailures:
         assert code == 0
         assert "warning: 2 point(s) failed to evaluate" in out
         assert "pareto front over (power, access_time): 2 of 4 points" in out
+
+    @pytest.mark.parametrize("state", [False, True])
+    def test_pruned_csv_is_the_front_of_every_row(self, capsys, tmp_path,
+                                                  state):
+        from repro.explore import export_csv, pareto_rows
+
+        argv = [*self.ARGV, "--axis", "VDD1=1.0:1.8:0.2", "--chunk-size", "3"]
+        every = tmp_path / "every.json"
+        assert run(capsys, *argv, "--json-out", str(every))[0] == 0
+        rows = json.loads(every.read_text())["rows"]
+        names = ["power", "access_time"]
+        pruned = tmp_path / "pruned.csv"
+        extra = ["--state", str(tmp_path / "state")] if state else []
+        assert run(capsys, *argv, "--prune", *extra,
+                   "--csv-out", str(pruned))[0] == 0
+        assert pruned.read_text() == export_csv(
+            pareto_rows(rows, names), ["bw", "VDD2", "VDD1"], names)
 
     @pytest.mark.parametrize("prune", [[], ["--prune"]])
     def test_with_state(self, capsys, tmp_path, prune):
