@@ -667,7 +667,7 @@ def _serve_multiworker(args: argparse.Namespace, state: Path) -> int:
     front.install_signal_handlers()
     print(f"PowerPlay serving at {front.base_url} "
           f"({args.workers} workers, {args.backend} backend, "
-          f"{front.mode} mode, state in {state})")
+          f"state in {state})")
     print("worker /metrics for fleet scraping: "
           + ", ".join(url for _, url in front.internal_peers()))
     print("Ctrl-C to stop.")
@@ -693,8 +693,6 @@ def cmd_serve_worker(args: argparse.Namespace) -> int:
         workers=args.workers,
         backend=args.backend,
         server_name=args.name,
-        mode=args.mode,
-        control_fd=args.control_fd,
     )
 
 
@@ -761,6 +759,8 @@ def cmd_flight(args: argparse.Namespace) -> int:
     """Inspect flight-recorder snapshots (offline) or a live server."""
     import json as _json
 
+    if args.limit < 1:
+        raise PowerPlayError("--limit must be at least 1")
     if args.url:
         from .web.client import Browser
 
@@ -920,6 +920,8 @@ def cmd_capacity(args: argparse.Namespace) -> int:
             utilization=args.utilization,
             quantile=args.quantile,
         )
+    except ValueError as exc:
+        raise PowerPlayError(str(exc)) from None
     finally:
         store.close()
     if args.json:
@@ -1224,9 +1226,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--workers", type=int, required=True)
     worker.add_argument("--backend", default="file")
     worker.add_argument("--name", default="powerplay")
-    worker.add_argument("--mode", default="reuseport",
-                        choices=("reuseport", "fdpass"))
-    worker.add_argument("--control-fd", type=int, default=None)
     worker.set_defaults(func=cmd_serve_worker)
 
     fleet = sub.add_parser(

@@ -15,9 +15,10 @@ what the server measured (queueing in the transport, for example).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Dict, Optional, Sequence
 
-from ..obs.metrics import Histogram
+from ..obs.metrics import Histogram, bucket_quantile
 
 PERCENTILES = (0.50, 0.95, 0.99)
 
@@ -53,51 +54,25 @@ def summarize_latencies(samples: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def _aggregate_buckets(
-    histogram: Histogram, route: Optional[str] = None
-) -> Tuple[List[int], int]:
-    """Summed per-bucket counts (+Inf last) across label sets.
-
-    ``route`` filters to one label value when the histogram is labelled
-    by route (the first declared label); ``None`` aggregates everything.
-    """
-    slots = [0] * (len(histogram.bounds) + 1)
-    total = 0
-    with histogram._lock:
-        for key, counts in histogram._buckets.items():
-            if route is not None and key and key[0] != route:
-                continue
-            for index, count in enumerate(counts):
-                slots[index] += count
-                total += count
-    return slots, total
-
-
 def histogram_quantile(
     histogram: Histogram, q: float, route: Optional[str] = None
 ) -> float:
-    """Prometheus-style quantile estimate from cumulative buckets.
+    """Prometheus-style quantile estimate from a registry histogram.
 
-    Linear interpolation inside the bucket containing the target rank;
-    observations in the ``+Inf`` bucket clamp to the highest finite
-    bound (exactly what ``histogram_quantile()`` does in PromQL).
+    Sums the cumulative buckets across label sets (only ``route``'s
+    when given: the first declared label) and reads them with
+    :func:`~repro.obs.metrics.bucket_quantile`; 0.0 when empty.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
-    slots, total = _aggregate_buckets(histogram, route)
-    if total == 0:
-        return 0.0
-    rank = q * total
-    seen = 0.0
-    lower = 0.0
-    for index, bound in enumerate(histogram.bounds):
-        in_bucket = slots[index]
-        if seen + in_bucket >= rank and in_bucket > 0:
-            fraction = (rank - seen) / in_bucket
-            return lower + (bound - lower) * fraction
-        seen += in_bucket
-        lower = bound
-    return histogram.bounds[-1]
+    totals = [0] * (len(histogram.bounds) + 1)
+    for key, (cumulative, _, _) in histogram.state().items():
+        if route is None or not key or key[0] == route:
+            totals = [a + b for a, b in zip(totals, cumulative)]
+    value = bucket_quantile(
+        list(zip(histogram.bounds + (math.inf,), totals)), q
+    )
+    return 0.0 if value is None else value
 
 
 def histogram_summary(

@@ -28,8 +28,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .history import HistoryStore, _round12, _round_t, render_sparkline
-from .metrics import parse_series_key
+from .history import (
+    HistoryStore, _increase, _rate_series, _round12, _round_t,
+    render_sparkline,
+)
+from .metrics import bucket_quantile, parse_series_key
 
 __all__ = [
     "CapacityReport",
@@ -167,30 +170,6 @@ class CapacityReport:
         return span / 3600.0 if math.isfinite(span) and span > 0 else 0.0
 
 
-def _increase(points: Sequence[Tuple[float, float]]) -> float:
-    """Reset-safe total increase over a cumulative-counter point list."""
-    total = 0.0
-    for (_, v0), (_, v1) in zip(points, points[1:]):
-        delta = v1 - v0
-        total += delta if delta >= 0 else v1
-    return total
-
-
-def _rate_series(
-    points: Sequence[Tuple[float, float]],
-) -> List[Tuple[float, float]]:
-    out: List[Tuple[float, float]] = []
-    for (t0, v0), (t1, v1) in zip(points, points[1:]):
-        dt = t1 - t0
-        if dt <= 0:
-            continue
-        delta = v1 - v0
-        if delta < 0:
-            delta = v1
-        out.append((t1, delta / dt))
-    return out
-
-
 def _slope_per_second(points: Sequence[Tuple[float, float]]) -> float:
     """Least-squares slope of value over time; 0 with < 2 points."""
     if len(points) < 2:
@@ -229,34 +208,21 @@ def _sum_aligned(
     return sorted(out.items())
 
 
-def _histogram_quantile(
-    buckets: Sequence[Tuple[float, float]], q: float,
-) -> Optional[float]:
-    """Prometheus-style quantile from (upper bound, count-in-window).
+def _window_buckets(
+    increases: Sequence[Tuple[float, float]],
+) -> List[Tuple[float, float]]:
+    """Cumulative ``(bound, count)`` pairs from per-bucket increases.
 
-    Linear interpolation inside the winning bucket; the +Inf bucket
-    reports its lower bound (the standard estimator's behaviour).
+    Reset-safe increases of cumulative buckets need not rise with the
+    bound, so each bucket's own share is clamped at zero.
     """
-    finite = sorted(buckets)
-    total = sum(count for _, count in finite)
-    if total <= 0:
-        return None
-    target = q * total
-    cumulative = 0.0
-    previous_bound = 0.0
-    for bound, count in finite:
-        if count <= 0:
-            previous_bound = bound if math.isfinite(bound) \
-                else previous_bound
-            continue
-        if cumulative + count >= target:
-            if not math.isfinite(bound):
-                return previous_bound
-            fraction = (target - cumulative) / count
-            return previous_bound + (bound - previous_bound) * fraction
-        cumulative += count
-        previous_bound = bound if math.isfinite(bound) else previous_bound
-    return previous_bound
+    cumulative: List[Tuple[float, float]] = []
+    running = previous = 0.0
+    for bound, increase in sorted(increases):
+        running += max(0.0, increase - previous)
+        previous = increase
+        cumulative.append((bound, running))
+    return cumulative
 
 
 def _collect_by_label(
@@ -301,6 +267,8 @@ def build_capacity_report(
         raise ValueError("utilization must be within (0, 1]")
     if horizon_s < 0:
         raise ValueError("projection horizon must be >= 0 seconds")
+    if not 0.0 <= quantile <= 1.0:
+        raise ValueError("quantile must be within [0, 1]")
 
     requests = _collect_by_label(store, _REQUESTS_FAMILY, since, until)
     latency_sum = _collect_by_label(
@@ -352,15 +320,9 @@ def build_capacity_report(
                 continue
             bucket_increases.append((bound, _increase(points)))
         if bucket_increases:
-            # exposition buckets are cumulative; the estimator wants
-            # per-bucket occupancy
-            bucket_increases.sort()
-            occupancy = []
-            previous = 0.0
-            for bound, cumulative in bucket_increases:
-                occupancy.append((bound, max(0.0, cumulative - previous)))
-                previous = cumulative
-            quantile_latency = _histogram_quantile(occupancy, quantile)
+            quantile_latency = bucket_quantile(
+                _window_buckets(bucket_increases), quantile
+            )
 
         service_time = mean_latency if mean_latency is not None else 0.0
         concurrency = projected * service_time

@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .logs import get_logger
-from .metrics import merge_states
+from .metrics import (
+    _series_key, bucket_quantile, merge_states, parse_series_key,
+)
 from .trace import span
 
 __all__ = [
@@ -47,9 +49,8 @@ __all__ = [
 _LOG = get_logger("obs.fleet")
 
 _SAMPLE_RE = re.compile(
-    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})?\s+(\S+)\s*$"
+    r"^([a-zA-Z_:][a-zA-Z0-9_:]*(?:\{.*\})?)\s+(\S+)\s*$"
 )
-_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
 #: histogram child-series suffixes, used to map a sample back to its
 #: family name (``x_bucket`` belongs to histogram ``x``)
@@ -86,12 +87,6 @@ def validate_peer_url(url: str) -> str:
     return url.rstrip("/")
 
 
-def _unescape(value: str) -> str:
-    return (
-        value.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
-    )
-
-
 def _parse_number(text: str) -> float:
     if text == "+Inf":
         return math.inf
@@ -107,15 +102,15 @@ def parse_exposition(text: str) -> Dict[str, Dict[str, object]]:
     with series keys rebuilt canonically (labels re-sorted, values
     re-escaped), so a scraped peer and a local
     :meth:`~repro.obs.metrics.MetricsRegistry.export_state` compare and
-    merge key-for-key.  Unparseable lines are skipped, not fatal — a
-    half-upgraded peer exposing an unknown sample must not blind the
-    whole dashboard.
+    merge key-for-key.  Labels are read with
+    :func:`~repro.obs.metrics.parse_series_key`, the grammar every
+    series-key reader shares.  Unparseable lines are skipped, not
+    fatal — a half-upgraded peer exposing an unknown sample must not
+    blind the whole dashboard.
     """
-    from .metrics import _series_key  # canonical key builder
-
     kinds: Dict[str, str] = {}
     state: Dict[str, Dict[str, object]] = {}
-    for raw_line in text.splitlines():
+    for raw_line in text.split("\n"):
         line = raw_line.strip()
         if not line:
             continue
@@ -132,17 +127,11 @@ def parse_exposition(text: str) -> Dict[str, Dict[str, object]]:
         match = _SAMPLE_RE.match(line)
         if not match:
             continue
-        sample_name, label_text, value_text = match.groups()
         try:
-            value = _parse_number(value_text)
+            sample_name, labels = parse_series_key(match.group(1))
+            value = _parse_number(match.group(2))
         except ValueError:
             continue
-        labels: Dict[str, str] = {}
-        if label_text:
-            for label_match in _LABEL_RE.finditer(label_text):
-                labels[label_match.group(1)] = _unescape(
-                    label_match.group(2)
-                )
         family = sample_name
         if sample_name not in kinds:
             for suffix in _HISTOGRAM_SUFFIXES:
@@ -164,10 +153,9 @@ def family_quantile(
 ) -> Optional[float]:
     """Estimate a quantile from a merged histogram family.
 
-    Sums the ``_bucket`` series across label sets (fleet-wide view),
-    then linearly interpolates inside the winning bucket — the same
-    estimator as ``loadgen.stats.histogram_quantile``, applied to the
-    merged series dict instead of a live :class:`Histogram`.  Returns
+    Sums the ``_bucket`` series across label sets (fleet-wide view) and
+    reads them with :func:`~repro.obs.metrics.bucket_quantile`, the
+    estimator behind every quantile the plane reports.  Returns
     ``None`` when the family has no observations.  An answer that
     lands in the ``+Inf`` bucket clamps to the highest finite bound.
     """
@@ -175,35 +163,11 @@ def family_quantile(
         return None
     totals: Dict[float, float] = {}
     for key, value in family.get("series", {}).items():  # type: ignore[union-attr]
-        start = key.find('le="')
-        if start < 0 or "_bucket" not in key:
-            continue
-        end = key.find('"', start + 4)
-        bound_text = key[start + 4:end]
-        bound = math.inf if bound_text == "+Inf" else float(bound_text)
-        totals[bound] = totals.get(bound, 0.0) + float(value)  # type: ignore[arg-type]
-    if not totals:
-        return None
-    bounds = sorted(totals)
-    total = totals[bounds[-1]]
-    if total <= 0:
-        return None
-    rank = q * total
-    previous_bound = 0.0
-    previous_count = 0.0
-    finite = [bound for bound in bounds if bound != math.inf]
-    for bound in bounds:
-        count = totals[bound]
-        if count >= rank:
-            if bound == math.inf:
-                return finite[-1] if finite else None
-            if count == previous_count:
-                return bound
-            fraction = (rank - previous_count) / (count - previous_count)
-            return previous_bound + fraction * (bound - previous_bound)
-        previous_bound = bound if bound != math.inf else previous_bound
-        previous_count = count
-    return finite[-1] if finite else None
+        name, labels = parse_series_key(key)
+        if name.endswith("_bucket") and "le" in labels:
+            bound = float(labels["le"])
+            totals[bound] = totals.get(bound, 0.0) + float(value)  # type: ignore[arg-type]
+    return bucket_quantile(sorted(totals.items()), q)
 
 
 @dataclass

@@ -643,16 +643,8 @@ class HistoryStore:
             if seg.end < before
         ]
         if previous_m1:
-            payload = self._load_segment(previous_m1[-1])
-            if payload is not None:
-                out: Dict[str, float] = {}
-                for key, entry in payload.get("series", {}).items():  # type: ignore[union-attr]
-                    lasts = [
-                        v for v in entry.get("last", []) if v is not None
-                    ]
-                    if lasts:
-                        out[str(key)] = float(lasts[-1])
-                return out
+            _, cells = self._rollup_cells(previous_m1[-1])
+            return {key: last for key, _, _, last in cells}
         return {}
 
     def _compact_m1(self, now: float) -> int:
@@ -873,7 +865,10 @@ class HistoryStore:
                     [_round_t(t), _round12(v)] for t, v in series_points
                 ]
             elif op == "rate":
-                entry["points"] = _rate_points(series_points)
+                entry["points"] = [
+                    [_round_t(t), _round12(rate)]
+                    for t, rate in _rate_series(series_points)
+                ]
             else:
                 values = sorted(v for _, v in series_points)
                 entry["value"] = _round12(_quantile(values, q))
@@ -926,39 +921,15 @@ class HistoryStore:
                         if level == "m1" and segment.start <= until:
                             m1_oldest = min(m1_oldest, segment.start)
                         continue
-                    payload = self._load_segment(segment)
-                    if payload is None:
-                        continue
-                    try:
-                        starts = _decode_deltas(
-                            payload.get("buckets", []))  # type: ignore[arg-type]
-                        if level == "m1" and starts:
-                            m1_oldest = min(m1_oldest, starts[0])
-                        width = int(payload.get("bucket_s", M1_BUCKET_S))
-                        for key, entry in payload.get(  # type: ignore[union-attr]
-                                "series", {}).items():
-                            key = str(key)
-                            if not matches(key):
-                                continue
-                            lasts = entry.get("last", [])
-                            for index, start in enumerate(starts):
-                                end = start + width
-                                if lasts[index] is None:
-                                    continue
-                                # a bucket overlapping the window
-                                # contributes, stamped at bucket end
-                                if end < since or start > until:
-                                    continue
-                                if end >= cutoff:
-                                    continue
-                                roll.setdefault(key, {})[end] = float(
-                                    lasts[index]
-                                )
-                    except (ValueError, TypeError, KeyError, IndexError):
-                        self._segments.pop(segment.name, None)
-                        self._quarantine(
-                            segment.path, "malformed columns"
-                        )
+                    first, cells = self._rollup_cells(segment, matches)
+                    if level == "m1":
+                        m1_oldest = min(m1_oldest, first)
+                    for key, start, end, last in cells:
+                        # a bucket overlapping the window contributes,
+                        # stamped at bucket end
+                        if end < since or start > until or end >= cutoff:
+                            continue
+                        roll.setdefault(key, {})[end] = last
         for key, buckets in roll.items():
             out[key] = sorted(buckets.items())
         for when, _, flat in raw_rounds:
@@ -986,33 +957,50 @@ class HistoryStore:
             for segment in self._sorted_segments("m1"):
                 if segment.end < since - M1_BUCKET_S:
                     continue
-                payload = self._load_segment(segment)
-                if payload is None:
-                    continue
-                try:
-                    starts = _decode_deltas(
-                        payload.get("buckets", []))  # type: ignore[arg-type]
-                    width = int(payload.get("bucket_s", M1_BUCKET_S))
-                    for key, entry in payload.get(  # type: ignore[union-attr]
-                            "series", {}).items():
-                        lasts = entry.get("last", [])
-                        for index, start in enumerate(starts):
-                            end = start + width
-                            if lasts[index] is None:
-                                continue
-                            if end < since or end >= raw_oldest:
-                                continue
-                            per_bucket.setdefault(end, {})[str(key)] = \
-                                float(lasts[index])
-                except (ValueError, TypeError, KeyError, IndexError):
-                    self._segments.pop(segment.name, None)
-                    self._quarantine(segment.path, "malformed columns")
+                for key, _, end, last in self._rollup_cells(segment)[1]:
+                    if since <= end < raw_oldest:
+                        per_bucket.setdefault(end, {})[key] = last
         out: List[Tuple[float, Dict[str, float]]] = list(
             sorted(per_bucket.items())
         )
         out.extend((when, flat) for when, _, flat in raw_rounds)
         out.sort(key=lambda item: item[0])
         return out
+
+    def _rollup_cells(
+        self, segment: _Segment,
+        keep: Callable[[str], bool] = lambda key: True,
+    ) -> Tuple[float, List[Tuple[str, float, float, float]]]:
+        """One rollup segment's filled ``last`` cells.
+
+        Returns ``(first bucket start, [(key, bucket start, bucket end,
+        last value), ...])`` over the series ``keep`` accepts.  A file
+        that does not load gives ``(inf, [])``; one whose columns do not
+        decode is quarantined, keeping the cells read before the fault.
+        """
+        first = math.inf
+        cells: List[Tuple[str, float, float, float]] = []
+        payload = self._load_segment(segment)
+        if payload is None:
+            return first, cells
+        try:
+            starts = _decode_deltas(payload.get("buckets", []))  # type: ignore[arg-type]
+            first = starts[0] if starts else math.inf
+            width = int(payload.get("bucket_s", M1_BUCKET_S))
+            for key, entry in payload.get("series", {}).items():  # type: ignore[union-attr]
+                key = str(key)
+                if not keep(key):
+                    continue
+                lasts = entry.get("last", [])
+                for index, start in enumerate(starts):
+                    if lasts[index] is not None:
+                        cells.append(
+                            (key, start, start + width, float(lasts[index]))
+                        )
+        except (ValueError, TypeError, KeyError, IndexError):
+            self._segments.pop(segment.name, None)
+            self._quarantine(segment.path, "malformed columns")
+        return first, cells
 
     def _newest(self) -> float:
         with self._lock:
@@ -1136,18 +1124,32 @@ def _encode_rollup(
     }
 
 
-def _rate_points(
+def _increase(points: Sequence[Tuple[float, float]]) -> float:
+    """Reset-safe total increase over a cumulative-counter point list."""
+    total = 0.0
+    for (_, v0), (_, v1) in zip(points, points[1:]):
+        delta = v1 - v0
+        total += delta if delta >= 0 else v1
+    return total
+
+
+def _rate_series(
     points: Sequence[Tuple[float, float]],
-) -> List[List[float]]:
-    out: List[List[float]] = []
+) -> List[Tuple[float, float]]:
+    """Per-second rate between adjacent points, stamped at the later one.
+
+    A negative delta means the counter restarted: the post-restart
+    value counts once.  Points that do not advance in time are skipped.
+    """
+    out: List[Tuple[float, float]] = []
     for (t0, v0), (t1, v1) in zip(points, points[1:]):
         dt = t1 - t0
         if dt <= 0:
             continue
         delta = v1 - v0
-        if delta < 0:  # counter reset: count the post-restart value once
+        if delta < 0:
             delta = v1
-        out.append([_round_t(t1), _round12(delta / dt)])
+        out.append((t1, delta / dt))
     return out
 
 

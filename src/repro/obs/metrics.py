@@ -33,6 +33,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "bucket_quantile",
     "get_registry",
     "merge_states",
     "parse_series_key",
@@ -77,10 +78,6 @@ def _series_key(name: str, labels: Mapping[str, str]) -> str:
         )
         return f"{name}{{{inner}}}"
     return name
-
-
-def _series(name: str, labels: Mapping[str, str], value: float) -> str:
-    return f"{_series_key(name, labels)} {_format_value(value)}"
 
 
 def parse_series_key(key: str) -> Tuple[str, Dict[str, str]]:
@@ -131,6 +128,35 @@ def parse_series_key(key: str) -> Tuple[str, Dict[str, str]]:
     return name, labels
 
 
+def bucket_quantile(
+    cumulative: Sequence[Tuple[float, float]], q: float,
+) -> Optional[float]:
+    """Prometheus ``histogram_quantile`` over cumulative bucket counts.
+
+    ``cumulative`` is ``[(upper bound, observations <= bound), ...]``
+    sorted by bound with ``+Inf`` last, the shape the exposition text
+    carries.  The estimate interpolates linearly inside the first
+    non-empty bucket whose count reaches rank ``q x total``, starting
+    from that bucket's lower bound (the previous bound; 0 for the
+    first).  A rank in the ``+Inf`` bucket clamps to the highest finite
+    bound.  ``None`` when there are no observations or no finite bound.
+    Every quantile the telemetry plane reports comes from here.
+    """
+    total = cumulative[-1][1] if cumulative else 0
+    if total <= 0 or cumulative[0][0] == math.inf:
+        return None
+    rank = q * total
+    seen = 0
+    lower = 0.0
+    for bound, count in cumulative:
+        if bound == math.inf:
+            break
+        if count >= rank and count > seen:
+            return lower + (bound - lower) * ((rank - seen) / (count - seen))
+        seen, lower = count, bound
+    return lower
+
+
 class _Metric:
     """Shared bookkeeping: name, help text, declared label names."""
 
@@ -159,8 +185,12 @@ class _Metric:
             f"# TYPE {self.name} {self.kind}",
         ]
 
-    def render(self) -> List[str]:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def render(self) -> List[str]:
+        """Exposition lines: the header, then one line per sample."""
+        return self.header() + [
+            f"{key} {_format_value(value)}"
+            for key, value in self.export_samples()
+        ]
 
     def reset(self) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -175,42 +205,19 @@ class _Metric:
         raise NotImplementedError  # pragma: no cover - overridden
 
 
-class Counter(_Metric):
-    """A monotonically increasing count (per label set)."""
-
-    kind = "counter"
+class _Valued(_Metric):
+    """One float per label set: the store Counter and Gauge share."""
 
     def __init__(self, name: str, help_text: str, labelnames: Sequence[str] = ()):
         super().__init__(name, help_text, labelnames)
         self._values: Dict[LabelKey, float] = {}
 
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
     def value(self, **labels: object) -> float:
         return self._values.get(self._key(labels), 0.0)
-
-    def total(self) -> float:
-        """Sum across every label set."""
-        with self._lock:
-            return sum(self._values.values())
 
     def samples(self) -> Dict[LabelKey, float]:
         with self._lock:
             return dict(self._values)
-
-    def render(self) -> List[str]:
-        lines = self.header()
-        with self._lock:
-            for key in sorted(self._values):
-                lines.append(
-                    _series(self.name, self._labels_of(key), self._values[key])
-                )
-        return lines
 
     def export_samples(self) -> List[Tuple[str, float]]:
         with self._lock:
@@ -224,14 +231,28 @@ class Counter(_Metric):
             self._values.clear()
 
 
-class Gauge(_Metric):
+class Counter(_Valued):
+    """A monotonically increasing count (per label set)."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up")
+        key = self._key(labels)
+        with self._lock:
+            self._values[key] = self._values.get(key, 0.0) + amount
+
+    def total(self) -> float:
+        """Sum across every label set."""
+        with self._lock:
+            return sum(self._values.values())
+
+
+class Gauge(_Valued):
     """A value that can go anywhere (state codes, queue depths, uptime)."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help_text: str, labelnames: Sequence[str] = ()):
-        super().__init__(name, help_text, labelnames)
-        self._values: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: object) -> None:
         key = self._key(labels)
@@ -245,33 +266,6 @@ class Gauge(_Metric):
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
-
-    def value(self, **labels: object) -> float:
-        return self._values.get(self._key(labels), 0.0)
-
-    def samples(self) -> Dict[LabelKey, float]:
-        with self._lock:
-            return dict(self._values)
-
-    def render(self) -> List[str]:
-        lines = self.header()
-        with self._lock:
-            for key in sorted(self._values):
-                lines.append(
-                    _series(self.name, self._labels_of(key), self._values[key])
-                )
-        return lines
-
-    def export_samples(self) -> List[Tuple[str, float]]:
-        with self._lock:
-            return [
-                (_series_key(self.name, self._labels_of(key)), self._values[key])
-                for key in sorted(self._values)
-            ]
-
-    def reset(self) -> None:
-        with self._lock:
-            self._values.clear()
 
 
 class Histogram(_Metric):
@@ -325,10 +319,6 @@ class Histogram(_Metric):
     def sum(self, **labels: object) -> float:
         return self._sums.get(self._key(labels), 0.0)
 
-    def total_count(self) -> int:
-        with self._lock:
-            return sum(self._counts.values())
-
     def state(self) -> Dict[LabelKey, Tuple[List[int], float, int]]:
         """``{label key: (cumulative bucket counts incl +Inf, sum, count)}``.
 
@@ -352,75 +342,30 @@ class Histogram(_Metric):
                 )
         return out
 
-    def render(self) -> List[str]:
-        lines = self.header()
-        with self._lock:
-            for key in sorted(self._buckets):
-                labels = self._labels_of(key)
-                cumulative = 0
-                for index, bound in enumerate(self.bounds):
-                    cumulative += self._buckets[key][index]
-                    lines.append(
-                        _series(
-                            f"{self.name}_bucket",
-                            {**labels, "le": _format_value(bound)},
-                            cumulative,
-                        )
-                    )
-                cumulative += self._buckets[key][-1]
-                lines.append(
-                    _series(
-                        f"{self.name}_bucket",
-                        {**labels, "le": "+Inf"},
-                        cumulative,
-                    )
-                )
-                lines.append(
-                    _series(f"{self.name}_sum", labels, self._sums[key])
-                )
-                lines.append(
-                    _series(f"{self.name}_count", labels, self._counts[key])
-                )
-        return lines
-
     def export_samples(self) -> List[Tuple[str, float]]:
         samples: List[Tuple[str, float]] = []
+        bucket = f"{self.name}_bucket"
         with self._lock:
             for key in sorted(self._buckets):
                 labels = self._labels_of(key)
                 cumulative = 0
-                for index, bound in enumerate(self.bounds):
-                    cumulative += self._buckets[key][index]
-                    samples.append(
-                        (
-                            _series_key(
-                                f"{self.name}_bucket",
-                                {**labels, "le": _format_value(bound)},
-                            ),
-                            float(cumulative),
-                        )
-                    )
-                cumulative += self._buckets[key][-1]
-                samples.append(
-                    (
+                for bound, count in zip(
+                    self.bounds + (math.inf,), self._buckets[key]
+                ):
+                    cumulative += count
+                    samples.append((
                         _series_key(
-                            f"{self.name}_bucket", {**labels, "le": "+Inf"}
+                            bucket, {**labels, "le": _format_value(bound)}
                         ),
                         float(cumulative),
-                    )
-                )
+                    ))
                 samples.append(
-                    (
-                        _series_key(f"{self.name}_sum", labels),
-                        self._sums[key],
-                    )
+                    (_series_key(f"{self.name}_sum", labels), self._sums[key])
                 )
-                samples.append(
-                    (
-                        _series_key(f"{self.name}_count", labels),
-                        float(self._counts[key]),
-                    )
-                )
+                samples.append((
+                    _series_key(f"{self.name}_count", labels),
+                    float(self._counts[key]),
+                ))
         return samples
 
     def reset(self) -> None:
@@ -510,7 +455,7 @@ class MetricsRegistry:
         """
         result: Dict[str, Dict[LabelKey, float]] = {}
         for metric in self.metrics():
-            if isinstance(metric, (Counter, Gauge)):
+            if isinstance(metric, _Valued):
                 result[metric.name] = metric.samples()
             elif isinstance(metric, Histogram):
                 with metric._lock:
@@ -556,20 +501,13 @@ class MetricsRegistry:
             metric.reset()
 
 
-_LE_RE_FRAGMENT = 'le="'
-
-
 def _bucket_bounds_of(family: Mapping[str, object]) -> Tuple[str, ...]:
     """The sorted set of ``le`` label values a histogram family uses."""
-    bounds = set()
-    for key in family.get("series", {}):  # type: ignore[union-attr]
-        start = key.find(_LE_RE_FRAGMENT)
-        if start < 0:
-            continue
-        start += len(_LE_RE_FRAGMENT)
-        end = key.find('"', start)
-        if end > start:
-            bounds.add(key[start:end])
+    bounds = {
+        parse_series_key(key)[1].get("le", "")
+        for key in family.get("series", {})  # type: ignore[union-attr]
+    }
+    bounds.discard("")
     return tuple(sorted(bounds))
 
 
@@ -592,6 +530,8 @@ def merge_states(
     scrape arrival order.
     """
     merged: Dict[str, Dict[str, object]] = {}
+    # per histogram: the bounds of the first node that had any
+    bounds_seen: Dict[str, Tuple[str, ...]] = {}
     for state in states:
         for name in sorted(state):
             family = state[name]
@@ -607,13 +547,15 @@ def merge_states(
                     f"and {kind} on another"
                 )
             if kind == "histogram":
-                seen = _bucket_bounds_of(entry)
+                seen = bounds_seen.get(name)
                 incoming = _bucket_bounds_of(family)
                 if seen and incoming and seen != incoming:
                     raise ValueError(
                         f"histogram {name!r} bucket bounds differ "
                         f"across nodes: {seen} vs {incoming}"
                     )
+                if not seen:
+                    bounds_seen[name] = incoming
             target: Dict[str, float] = entry["series"]  # type: ignore[assignment]
             for key, value in series.items():  # type: ignore[union-attr]
                 numeric = float(value)  # type: ignore[arg-type]

@@ -28,9 +28,10 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..state import fsio
 from .logs import get_logger
@@ -184,8 +185,7 @@ class FlightRecorder:
         self.snapshot_interval_s = snapshot_interval_s
         self._clock = clock
         self._monotonic = monotonic
-        self._ring: List[FlightRecord] = []
-        self._start = 0  # ring read head
+        self._ring: Deque[FlightRecord] = deque(maxlen=capacity)
         self._seq = 0
         self._lock = threading.Lock()
         self._last_snapshot_mono: Optional[float] = None
@@ -223,22 +223,22 @@ class FlightRecorder:
                 at=self._clock(),
                 seq=self._seq,
             )
-            if len(self._ring) < self.capacity:
-                self._ring.append(record)
-            else:
-                self._ring[self._start] = record
-                self._start = (self._start + 1) % self.capacity
+            self._ring.append(record)
         _metric_records().inc()
         if status >= 500:
             self.snapshot(reason=f"5xx on {route}", trigger="5xx")
         return record
 
     def records(self, limit: Optional[int] = None) -> List[FlightRecord]:
-        """Ring contents, oldest first (a copy; safe to iterate)."""
+        """Ring contents, oldest first (a copy; safe to iterate).
+
+        ``limit`` keeps the newest ``limit`` records; 0 or less keeps
+        none.
+        """
         with self._lock:
-            ordered = self._ring[self._start:] + self._ring[: self._start]
-        if limit is not None and limit >= 0:
-            ordered = ordered[-limit:]
+            ordered = list(self._ring)
+        if limit is not None:
+            ordered = ordered[-limit:] if limit > 0 else []
         return ordered
 
     def __len__(self) -> int:
@@ -276,7 +276,7 @@ class FlightRecorder:
             self._last_snapshot_mono = now_mono
             self._snapshot_seq += 1
             sequence = self._snapshot_seq
-            ordered = self._ring[self._start:] + self._ring[: self._start]
+            ordered = list(self._ring)
         payload = {
             "version": SNAPSHOT_VERSION,
             "reason": reason,

@@ -32,14 +32,18 @@ page anyone).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Deque,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -48,7 +52,7 @@ from typing import (
 )
 
 from .metrics import (
-    Histogram, MetricsRegistry, get_registry, parse_series_key,
+    Counter, Histogram, MetricsRegistry, get_registry, parse_series_key,
 )
 
 __all__ = [
@@ -236,6 +240,74 @@ def worst_state(statuses: Sequence[SLOStatus]) -> str:
     return SLO_STATES[worst]
 
 
+#: ``(route, bucket bounds, cumulative bucket counts, total count)``
+LatencyRow = Tuple[str, Sequence[float], Sequence[float], float]
+
+
+def _good_total(
+    slo: SLO,
+    responses: Iterable[Tuple[Optional[str], float]],
+    latencies: Iterable[LatencyRow],
+) -> Tuple[float, float]:
+    """(good, total) for one SLO, over plain numbers: both SLO rules.
+
+    Availability reads ``responses``, ``(status class, count)`` per
+    series: every non-5xx response is good.  Latency reads
+    ``latencies`` for the routes of its class: all of a route's
+    requests count, and the good ones are read off the cumulative
+    bucket at the largest bound within ``threshold_s`` (a 1e-9
+    relative tolerance absorbs float noise in the threshold).  Only the
+    input the SLO's kind names is consumed.
+    """
+    good = total = 0.0
+    if slo.kind == "availability":
+        for status_class, count in responses:
+            total += count
+            if status_class != "5xx":
+                good += count
+        return good, total
+    limit = float(slo.threshold_s or 0.0) * (1.0 + 1e-9)
+    for route, bounds, cumulative, count in latencies:
+        if route_class(route) != slo.route_class:
+            continue
+        total += count
+        within = bisect_right(bounds, limit)
+        if within:
+            good += cumulative[within - 1]
+    return good, total
+
+
+def _flat_counts(
+    flat: Mapping[str, float],
+) -> Tuple[List[Tuple[Optional[str], float]], List[LatencyRow]]:
+    """The SLO inputs of :func:`_good_total`, read from series keys."""
+    responses: List[Tuple[Optional[str], float]] = []
+    counts: Dict[str, float] = {}
+    buckets: Dict[str, Dict[float, float]] = {}
+    for key, value in flat.items():
+        try:
+            name, labels = parse_series_key(key)
+            route = labels.get("route", "")
+            if name == "powerplay_http_responses_total":
+                responses.append((labels.get("status_class"), value))
+            elif name == "powerplay_http_request_seconds_count":
+                counts[route] = counts.get(route, 0.0) + value
+            elif name == "powerplay_http_request_seconds_bucket":
+                bound = float(labels.get("le", "nan"))
+                if not math.isnan(bound):
+                    buckets.setdefault(route, {})[bound] = value
+        except ValueError:
+            continue
+    latencies: List[LatencyRow] = []
+    for route in sorted(counts.keys() | buckets.keys()):
+        pairs = sorted(buckets.get(route, {}).items())
+        latencies.append((
+            route, [bound for bound, _ in pairs],
+            [value for _, value in pairs], counts.get(route, 0.0),
+        ))
+    return responses, latencies
+
+
 def good_total_from_flat(
     slo: SLO, flat: Mapping[str, float],
 ) -> Tuple[float, float]:
@@ -246,46 +318,7 @@ def good_total_from_flat(
     live, just addressed by exposition-format series key.  This is the
     bridge that lets burn windows rehydrate from disk after a restart.
     """
-    good = total = 0.0
-    if slo.kind == "availability":
-        for key, value in flat.items():
-            try:
-                name, labels = parse_series_key(key)
-            except ValueError:
-                continue
-            if name != "powerplay_http_responses_total":
-                continue
-            total += value
-            if labels.get("status_class") != "5xx":
-                good += value
-        return good, total
-    threshold = float(slo.threshold_s or 0.0)
-    # per route: total from _count, good from the largest qualifying
-    # cumulative bucket (same bound rule as the live read)
-    best_bound: Dict[str, float] = {}
-    best_value: Dict[str, float] = {}
-    for key, value in flat.items():
-        try:
-            name, labels = parse_series_key(key)
-        except ValueError:
-            continue
-        route = labels.get("route", "")
-        if route_class(route) != slo.route_class:
-            continue
-        if name == "powerplay_http_request_seconds_count":
-            total += value
-        elif name == "powerplay_http_request_seconds_bucket":
-            try:
-                bound = float(labels.get("le", "nan"))
-            except ValueError:
-                continue
-            if not bound <= threshold * (1.0 + 1e-9):
-                continue
-            if bound >= best_bound.get(route, -1.0):
-                best_bound[route] = bound
-                best_value[route] = value
-    good = sum(best_value.values())
-    return good, total
+    return _good_total(slo, *_flat_counts(flat))
 
 
 class _WindowedSeries:
@@ -382,33 +415,26 @@ class SLOTracker:
     # -- cumulative reads ---------------------------------------------------
 
     def _cumulative(self, slo: SLO) -> Tuple[float, float]:
-        """(good, total) as counted since process start."""
-        if slo.kind == "availability":
-            counter = self.registry.get("powerplay_http_responses_total")
-            if counter is None:
-                return 0.0, 0.0
-            good = total = 0.0
+        """(good, total) as counted since process start.
+
+        The live reader hands the metrics' own label tuples and bucket
+        lists to :func:`_good_total`: it builds and parses no series-key
+        strings, because it runs on the request path.
+        """
+        return _good_total(slo, self._responses(), self._latencies())
+
+    def _responses(self) -> Iterator[Tuple[Optional[str], float]]:
+        counter = self.registry.get("powerplay_http_responses_total")
+        if isinstance(counter, Counter):
             for key, value in counter.samples().items():
-                total += value
-                if key and key[0] != "5xx":
-                    good += value
-            return good, total
+                yield (key[0] if key else None), value
+
+    def _latencies(self) -> Iterator[LatencyRow]:
         histogram = self.registry.get("powerplay_http_request_seconds")
-        if not isinstance(histogram, Histogram):
-            return 0.0, 0.0
-        threshold = float(slo.threshold_s or 0.0)
-        bucket_index = -1
-        for index, bound in enumerate(histogram.bounds):
-            if bound <= threshold * (1.0 + 1e-9):
-                bucket_index = index
-        good = total = 0.0
-        for key, (cumulative, _sum, count) in histogram.state().items():
-            if not key or route_class(key[0]) != slo.route_class:
-                continue
-            total += count
-            if bucket_index >= 0:
-                good += cumulative[bucket_index]
-        return good, total
+        if isinstance(histogram, Histogram):
+            for key, (cumulative, _, count) in histogram.state().items():
+                if key:
+                    yield key[0], histogram.bounds, cumulative, count
 
     # -- evaluation ---------------------------------------------------------
 
@@ -501,8 +527,9 @@ class SLOTracker:
                 if age < 0:
                     continue
                 when = now - age
+                counts = _flat_counts(flat)
                 for slo in self.slos:
-                    good, total = good_total_from_flat(slo, flat)
+                    good, total = _good_total(slo, *counts)
                     self._series[slo.name].push(when, good, total)
             for slo in self.slos:
                 self._series[slo.name].prune(now, self.policy.longest_s)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import secrets
 import threading
 import time
@@ -83,6 +84,7 @@ from ..obs import profile as obs_profile
 from ..obs import propagate
 from ..obs import recorder as obs_recorder
 from ..obs import render_trace
+from ..obs.metrics import Histogram, bucket_quantile
 from ..obs.recorder import FlightRecorder
 from ..obs.slo import SLOTracker
 from ..obs.trace import Span, traced
@@ -1575,17 +1577,18 @@ class Application:
             requests_by_route[route] = requests_by_route.get(route, 0) + count
         latency_count = samples("powerplay_http_request_seconds_count")
         latency_sum = samples("powerplay_http_request_seconds_sum")
-        # lazy import: repro.loadgen's package __init__ pulls the load
-        # driver, which imports this module back — resolve at call time
-        from ..loadgen.stats import histogram_quantile
-
         latency_hist = self.registry.get("powerplay_http_request_seconds")
+        latency_state = (
+            latency_hist.state() if isinstance(latency_hist, Histogram) else {}
+        )
 
         def quantile_ms(route: str, q: float) -> str:
-            if latency_hist is None or not latency_count.get((route,), 0.0):
+            if (route,) not in latency_state:
                 return "—"
-            value = histogram_quantile(latency_hist, q, route=route)
-            return f"{value * 1e3:.2f} ms"
+            value = bucket_quantile(list(zip(
+                latency_hist.bounds + (math.inf,), latency_state[(route,)][0]
+            )), q)
+            return "—" if value is None else f"{value * 1e3:.2f} ms"
 
         request_rows = []
         for route in sorted(requests_by_route):

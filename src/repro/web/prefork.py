@@ -7,10 +7,8 @@ paper's state is naturally user-partitioned ("the individual user's
 defaults" live in one file per user), so the front shards by user:
 
 * every worker binds the **same public port** with ``SO_REUSEPORT``
-  and the kernel load-balances incoming connections (when the platform
-  has no ``SO_REUSEPORT``, the parent accepts and passes connection
-  FDs to workers over a Unix socketpair — same topology, userspace
-  balancing);
+  and the kernel load-balances incoming connections (a platform
+  without ``SO_REUSEPORT`` cannot run the front);
 * each worker also runs an **internal loopback server**; a public
   request naming user *u* is handled locally when
   ``shard_for(u) == my index`` and otherwise proxied to the owner's
@@ -109,12 +107,11 @@ def request_user(path: str, form=None) -> str:
 class ShardedHandler(_Handler):
     """Public-port handler that proxies non-owned users to their shard.
 
-    The kernel (or the FD-passing parent) routes connections to an
-    arbitrary worker; this handler restores user affinity at the
-    application layer.  Owned requests run locally; foreign ones are
-    replayed against the owner's internal loopback server and the
-    owner's response is relayed byte-for-byte (status, body, headers —
-    including its ``X-PowerPlay-Shard``).
+    The kernel routes connections to an arbitrary worker; this handler
+    restores user affinity at the application layer.  Owned requests
+    run locally; foreign ones are replayed against the owner's internal
+    loopback server and the owner's response is relayed byte-for-byte
+    (status, body, headers — including its ``X-PowerPlay-Shard``).
     """
 
     worker_index: int = 0
@@ -227,37 +224,6 @@ def _watch_stdin(stdin, stop_event: threading.Event) -> threading.Thread:
     return thread
 
 
-def _feed_passed_fds(
-    control: socket.socket, httpd, stop_event: threading.Event
-) -> threading.Thread:
-    """FD-passing mode: serve connections the parent accepted for us."""
-
-    def _feed() -> None:
-        while not stop_event.is_set():
-            try:
-                _msg, fds, _flags, _addr = socket.recv_fds(control, 16, 4)
-            except OSError:
-                break
-            if not fds:
-                break  # parent closed its end
-            for fd in fds:
-                try:
-                    request = socket.socket(fileno=fd)
-                    try:
-                        peer = request.getpeername()
-                    except OSError:
-                        peer = ("127.0.0.1", 0)
-                    httpd.inject(request, peer)
-                except OSError:  # pragma: no cover - raced disconnect
-                    continue
-
-    thread = threading.Thread(
-        target=_feed, daemon=True, name="prefork-fdpass"
-    )
-    thread.start()
-    return thread
-
-
 def worker_main(
     state_dir: Path,
     host: str,
@@ -266,8 +232,6 @@ def worker_main(
     workers: int,
     backend: str = "file",
     server_name: str = "powerplay",
-    mode: str = "reuseport",
-    control_fd: Optional[int] = None,
     stdin=None,
     stdout=None,
 ) -> int:
@@ -307,58 +271,31 @@ def worker_main(
         "worker_count": workers,
         "internal_ports": internal_ports,
     }
-    control: Optional[socket.socket] = None
-    feeder: Optional[threading.Thread] = None
-    if mode == "reuseport":
-        public = PowerPlayServer(
-            state_dir,
-            host=host,
-            port=port,
-            application=application,
-            handler_base=ShardedHandler,
-            handler_attrs=handler_attrs,
-            reuse_port=True,
-        )
-        public.start()
-        public_port = public.address[1]
-    elif mode == "fdpass":
-        if control_fd is None:
-            internal.stop()
-            return 1
-        # loopback carrier server: never advertised; real connections
-        # arrive as FDs the parent accepted on the public port
-        public = PowerPlayServer(
-            state_dir,
-            host="127.0.0.1",
-            port=0,
-            application=application,
-            handler_base=ShardedHandler,
-            handler_attrs=handler_attrs,
-        )
-        public.start()
-        control = socket.socket(fileno=control_fd)
-        feeder = _feed_passed_fds(control, public._httpd, stop_event)
-        public_port = port
-    else:
-        internal.stop()
-        raise StateError(f"unknown prefork mode {mode!r}")
+    public = PowerPlayServer(
+        state_dir,
+        host=host,
+        port=port,
+        application=application,
+        handler_base=ShardedHandler,
+        handler_attrs=handler_attrs,
+        reuse_port=True,
+    )
+    public.start()
+    public_port = public.address[1]
 
     _watch_stdin(stdin, stop_event)
     print(f"READY {public_port}", file=stdout, flush=True)
     _LOG.info(
-        "worker_up", index=index, workers=workers, mode=mode,
+        "worker_up", index=index, workers=workers,
         public_port=public_port, internal_port=internal.address[1],
     )
 
-    stop_event.wait()
-    if control is not None:
-        try:
-            control.close()
-        except OSError:  # pragma: no cover
-            pass
+    # a timed wait: Python runs signal handlers in the main thread only
+    # when it wakes, and a SIGTERM delivered to another thread does not
+    # wake an untimed wait, which left the worker serving until SIGKILL
+    while not stop_event.wait(0.25):
+        pass
     public.stop()  # stop accepting, drain in-flight, flush state
-    if feeder is not None:
-        feeder.join(timeout=2)
     # peers may still be forwarding the tail of their own drains here;
     # give those proxied requests a beat before the internal port dies
     time.sleep(0.2)
@@ -374,11 +311,9 @@ def worker_main(
 class WorkerProcess:
     """Bookkeeping for one spawned worker."""
 
-    def __init__(self, index: int, process: subprocess.Popen,
-                 parent_control: Optional[socket.socket] = None):
+    def __init__(self, index: int, process: subprocess.Popen):
         self.index = index
         self.process = process
-        self.parent_control = parent_control
         self.internal_port: Optional[int] = None
         self.lines: "Queue[str]" = Queue()
         self._reader = threading.Thread(
@@ -424,9 +359,9 @@ class MultiWorkerFront:
             browser = Browser(front.base_url)
             ...
 
-    ``mode`` is ``"reuseport"`` where the kernel supports it (Linux,
-    the BSDs), else ``"fdpass"``; tests pin ``mode="fdpass"`` to cover
-    the fallback on any platform.
+    Workers share the public port through ``SO_REUSEPORT`` (Linux, the
+    BSDs); on a platform without it, :meth:`start` raises
+    :class:`~repro.errors.StateError`.
     """
 
     _log = get_logger("web.prefork.front")
@@ -444,7 +379,6 @@ class MultiWorkerFront:
         host: str = "127.0.0.1",
         port: int = 0,
         server_name: str = "powerplay",
-        mode: Optional[str] = None,
     ):
         if workers < 1:
             raise StateError("workers must be >= 1")
@@ -454,19 +388,8 @@ class MultiWorkerFront:
         self.host = host
         self.port = int(port)
         self.server_name = server_name
-        if mode is None:
-            mode = (
-                "reuseport"
-                if hasattr(socket, "SO_REUSEPORT")
-                else "fdpass"
-            )
-        if mode not in ("reuseport", "fdpass"):
-            raise StateError(f"unknown prefork mode {mode!r}")
-        self.mode = mode
         self._children: List[WorkerProcess] = []
         self._placeholder: Optional[socket.socket] = None
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
         self._stopping = threading.Event()
         self._started = False
 
@@ -495,22 +418,21 @@ class MultiWorkerFront:
     def _reserve_port(self) -> None:
         """Pick (and hold) the public port before any worker binds it.
 
-        reuseport mode: a bound — never listening — placeholder with
-        ``SO_REUSEPORT`` keeps the port ours between choosing it and
-        the workers binding it; connections only go to listeners, so
-        the placeholder never steals one.  fdpass mode: the parent is
-        the actual listener.
+        A bound — never listening — placeholder with ``SO_REUSEPORT``
+        keeps the port ours between choosing it and the workers binding
+        it; connections only go to listeners, so the placeholder never
+        steals one.
         """
+        if not hasattr(socket, "SO_REUSEPORT"):
+            raise StateError(
+                "the multi-worker front needs SO_REUSEPORT, which this "
+                "platform lacks"
+            )
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        if self.mode == "reuseport":
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         sock.bind((self.host, self.port))
         self.port = sock.getsockname()[1]
-        if self.mode == "fdpass":
-            sock.listen(128)
-            self._listener = sock
-        else:
-            self._placeholder = sock
+        self._placeholder = sock
 
     def _spawn(self, index: int) -> WorkerProcess:
         command = [
@@ -522,25 +444,15 @@ class MultiWorkerFront:
             "--index", str(index),
             "--workers", str(self.workers),
             "--name", self.server_name,
-            "--mode", self.mode,
         ]
-        parent_control: Optional[socket.socket] = None
-        pass_fds: Sequence[int] = ()
-        if self.mode == "fdpass":
-            parent_control, child_control = socket.socketpair()
-            command += ["--control-fd", str(child_control.fileno())]
-            pass_fds = (child_control.fileno(),)
         process = subprocess.Popen(
             command,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             text=True,
             bufsize=1,
-            pass_fds=pass_fds,
         )
-        if self.mode == "fdpass":
-            child_control.close()  # the worker's copy lives in the child
-        return WorkerProcess(index, process, parent_control)
+        return WorkerProcess(index, process)
 
     def start(self) -> "MultiWorkerFront":
         if self._started:
@@ -565,40 +477,12 @@ class MultiWorkerFront:
         except BaseException:
             self.stop()
             raise
-        if self.mode == "fdpass":
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, daemon=True,
-                name="prefork-accept",
-            )
-            self._accept_thread.start()
         self._started = True
         self._log.info(
-            "front_up", workers=self.workers, mode=self.mode,
-            port=self.port, backend=self.backend,
+            "front_up", workers=self.workers, port=self.port,
+            backend=self.backend,
         )
         return self
-
-    def _accept_loop(self) -> None:
-        """fdpass mode: accept publicly, hand sockets out round-robin.
-
-        Routing is free to be arbitrary — user affinity is restored by
-        the workers' shard forwarding, exactly as in reuseport mode.
-        """
-        turn = 0
-        while not self._stopping.is_set():
-            try:
-                request, _addr = self._listener.accept()
-            except OSError:
-                break
-            child = self._children[turn % len(self._children)]
-            turn += 1
-            try:
-                socket.send_fds(
-                    child.parent_control, [b"c"], [request.fileno()]
-                )
-            except OSError:  # pragma: no cover - worker died mid-send
-                pass
-            request.close()  # the worker holds its own duplicate now
 
     def install_signal_handlers(self) -> None:
         """SIGTERM/SIGINT on the parent → graceful drain of the fleet."""
@@ -615,11 +499,6 @@ class MultiWorkerFront:
         if self._stopping.is_set():
             return
         self._stopping.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
         for child in self._children:
             if child.process.poll() is None:
                 try:
@@ -636,11 +515,6 @@ class MultiWorkerFront:
                 clean = False
                 child.process.kill()
                 child.process.wait(timeout=5)
-            if child.parent_control is not None:
-                try:
-                    child.parent_control.close()
-                except OSError:  # pragma: no cover
-                    pass
             for stream in (child.process.stdin, child.process.stdout):
                 try:
                     stream.close()

@@ -237,16 +237,6 @@ class _SoakFriendlyHTTPServer(ThreadingHTTPServer):
             self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         super().server_bind()
 
-    def inject(self, request, client_address) -> None:
-        """Serve one already-accepted connection (FD-passing mode).
-
-        The pre-fork front's parent accepts and hands the socket over a
-        Unix socketpair when ``SO_REUSEPORT`` is unavailable; the worker
-        feeds it here and the threading mixin handles it exactly like a
-        locally accepted one (in-flight counted, drained on stop).
-        """
-        self.process_request(request, client_address)
-
     def process_request_thread(self, request, client_address) -> None:
         with self._inflight_cv:
             self._inflight += 1

@@ -11,13 +11,13 @@ import pytest
 
 from repro import obs
 from repro.obs.capacity import (
-    _histogram_quantile,
     _increase,
     _slope_per_second,
     _sum_aligned,
     build_capacity_report,
 )
 from repro.obs.history import HistoryConfig, HistoryStore
+from repro.obs.metrics import bucket_quantile
 
 
 @pytest.fixture(autouse=True)
@@ -91,13 +91,14 @@ def test_sum_aligned_only_uses_shared_timestamps():
 
 
 def test_histogram_quantile_interpolates():
-    occupancy = [(0.1, 50.0), (0.5, 50.0), (math.inf, 0.0)]
-    assert _histogram_quantile(occupancy, 0.5) == pytest.approx(0.1)
-    assert _histogram_quantile(occupancy, 0.75) == pytest.approx(0.3)
+    # cumulative pairs: 50 observations in each finite bucket
+    cumulative = [(0.1, 50.0), (0.5, 100.0), (math.inf, 100.0)]
+    assert bucket_quantile(cumulative, 0.5) == pytest.approx(0.1)
+    assert bucket_quantile(cumulative, 0.75) == pytest.approx(0.3)
     # everything in +Inf: report the last finite bound
-    assert _histogram_quantile([(0.1, 0.0), (math.inf, 5.0)], 0.95) \
+    assert bucket_quantile([(0.1, 0.0), (math.inf, 5.0)], 0.95) \
         == pytest.approx(0.1)
-    assert _histogram_quantile([], 0.5) is None
+    assert bucket_quantile([], 0.5) is None
 
 
 # -- the report ------------------------------------------------------------

@@ -122,6 +122,21 @@ def test_merge_refuses_bucket_misalignment():
         merge_states([a.export_state(), b.export_state()])
 
 
+def test_merge_reads_bounds_only_from_the_le_label():
+    # a label whose name ends in "le" is not a bucket bound: nodes that
+    # differ only in its values are aligned and merge
+    states = []
+    for module in ("alpha", "beta"):
+        registry = MetricsRegistry()
+        registry.histogram(
+            "work_seconds", "", ("module",), buckets=(0.1, 1.0)
+        ).observe(0.05, module=module)
+        states.append(registry.export_state())
+    merged = merge_states(states)["work_seconds"]["series"]
+    assert merged['work_seconds_count{module="alpha"}'] == 1.0
+    assert merged['work_seconds_count{module="beta"}'] == 1.0
+
+
 def test_scraper_merge_skips_and_names_unmergeable_families():
     a = MetricsRegistry()
     a.counter("ok_total", "").inc(amount=2)

@@ -57,6 +57,15 @@ def test_records_limit_returns_newest():
     assert [r.seq for r in recorder.records(limit=2)] == [4, 5]
 
 
+def test_records_limit_zero_or_negative_returns_nothing():
+    recorder = FlightRecorder(capacity=4)
+    record_n(recorder, 6)
+    assert recorder.records(0) == []
+    assert recorder.records(-2) == []
+    assert [r.seq for r in recorder.records(10)] == [3, 4, 5, 6]
+    assert recorder.to_payload(limit=0)["records"] == []
+
+
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         FlightRecorder(capacity=0)

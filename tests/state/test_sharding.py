@@ -119,3 +119,19 @@ class TestRequestUser:
         # %41 is "A": the decision must see the decoded name, as the
         # Application's parser does
         assert request_user("/menu?user=%41lice") == "Alice"
+
+
+class TestFrontPlatform:
+    def test_front_without_reuseport_fails_before_spawning(
+        self, monkeypatch, tmp_path
+    ):
+        import socket
+
+        from repro.errors import StateError
+        from repro.web.prefork import MultiWorkerFront
+
+        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
+        front = MultiWorkerFront(tmp_path / "state", workers=2)
+        with pytest.raises(StateError, match="SO_REUSEPORT"):
+            front.start()
+        assert front.exit_codes() == {}

@@ -97,6 +97,22 @@ class TestFlight:
         assert snapshot["trigger"] == "5xx"
         assert snapshot["records"][0]["status"] == 503
 
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_below_one_exits_2(self, capsys, tmp_path, limit):
+        from repro.obs.recorder import FlightRecorder
+
+        state = tmp_path / "state"
+        recorder = FlightRecorder(snapshot_dir=state / "flight")
+        recorder.record(route="/menu", method="GET", status=500,
+                        duration_ms=1.0)
+        code, out, err = run(
+            capsys, "flight", "--state", str(state), "--limit", limit,
+            "show",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--limit must be at least 1" in err
+
     def test_no_snapshots_is_a_clean_failure(self, capsys, tmp_path):
         code, out, _err = run(
             capsys, "flight", "--state", str(tmp_path), "show"

@@ -180,3 +180,20 @@ class TestCapacityCommand:
         assert payload["threads_per_worker"] == 2
         assert payload["utilization"] == 0.5
         assert payload["horizon_s"] == 3600.0
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--utilization", "2", "utilization must be within (0, 1]"),
+        ("--threads-per-worker", "0", "threads_per_worker must be >= 1"),
+        ("--horizon-hours", "-1", "projection horizon must be >= 0"),
+        ("--quantile", "1.5", "quantile must be within [0, 1]"),
+    ])
+    def test_bad_knobs_exit_2_with_one_line(
+        self, capsys, store_dir, flag, value, message,
+    ):
+        code, out, err = run(
+            capsys, "capacity", "--dir", str(store_dir), flag, value,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1

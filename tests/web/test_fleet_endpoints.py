@@ -184,6 +184,9 @@ def test_flight_endpoint_records_requests(app):
     # ?limit bounds the records returned
     limited = get_json(app, "/debug/flight?fmt=json&limit=2")
     assert len(limited["records"]) == 2
+    # the query clamps to [1, 10000]: limit=0 still shows one record
+    clamped = get_json(app, "/debug/flight?fmt=json&limit=0")
+    assert len(clamped["records"]) == 1
 
     html = app.handle("GET", "/debug/flight").body
     assert "/api/ping" in html and "Flight recorder" in html
