@@ -2,8 +2,8 @@
 
 The paper's distributed-library claim only matters if a federated
 lookup survives a real network: dropped connections, slow peers, 5xx,
-truncated payloads.  This bench drives :class:`ModelResolver` against a
-live :class:`ChaosServer` at increasing injected fault rates and
+truncated payloads.  This bench drives :class:`RegistryResolver` against
+a live :class:`ChaosServer` at increasing injected fault rates and
 reports, per rate, the resolution success rate, wire traffic, retries,
 and stale-cache serves — with a naive (retry-free, cache-free) client
 alongside to show what the resilience layer buys.
@@ -19,8 +19,9 @@ import pytest
 from conftest import banner
 
 from repro.library.catalog import Library
+from repro.registry.resolve import RegistryResolver
 from repro.web.faults import ChaosServer, FaultPlan
-from repro.web.remote import ModelResolver, RemoteLibraryClient
+from repro.web.remote import RemoteLibraryClient
 from repro.web.resilience import CircuitBreaker, RetryPolicy
 
 MODELS = ["sram", "multiplier", "register", "ripple_adder", "controller_rom"]
@@ -48,7 +49,7 @@ def _run_lookups(resolver, clock):
         for name in MODELS:
             lookups += 1
             try:
-                entry = resolver.resolve(name)
+                entry = resolver.resolve_strict(name)
                 if entry.name == name:
                     successes += 1
             except Exception:
@@ -98,11 +99,11 @@ def test_fault_tolerance_success_rate(tmp_path):
                     # one long-lived client: retries + TTL'd cache with
                     # stale fallback carry it through the fault storm
                     client = _resilient_client(server.base_url, clock)
-                    resolver = ModelResolver(Library("local"), [client])
+                    resolver = RegistryResolver(Library("local"), [client])
                     successes, lookups, wall = _run_lookups(resolver, clock)
                     requests = client.requests_made
-                    retries = resolver.report.retries
-                    stale = resolver.report.stale_serves
+                    retries = client.report.retries
+                    stale = client.report.stale_serves
                 else:
                     # fresh client every round: each lookup is cold, one
                     # attempt, nothing to fall back on (pre-resilience)
@@ -110,16 +111,16 @@ def test_fault_tolerance_success_rate(tmp_path):
                     start = time.perf_counter()
                     for _round in range(ROUNDS):
                         client = _naive_client(server.base_url)
-                        resolver = ModelResolver(Library("local"), [client])
+                        resolver = RegistryResolver(Library("local"), [client])
                         for name in MODELS:
                             lookups += 1
                             try:
-                                if resolver.resolve(name).name == name:
+                                if resolver.resolve_strict(name).name == name:
                                     successes += 1
                             except Exception:
                                 pass
                         requests += client.requests_made
-                        retries += resolver.report.retries
+                        retries += client.report.retries
                     wall = time.perf_counter() - start
                 ratio = successes / lookups
                 (resilient_rates if mode == "resilient" else naive_rates)[
@@ -146,16 +147,16 @@ def test_fault_tolerance_latency(benchmark, tmp_path):
     with ChaosServer(tmp_path / "timed", plan) as server:
         clock = _Clock()
         client = _resilient_client(server.base_url, clock)
-        resolver = ModelResolver(Library("local"), [client])
+        resolver = RegistryResolver(Library("local"), [client])
 
         def sweep():
             for name in MODELS:
-                resolver.resolve(name)
+                resolver.resolve_strict(name)
             clock.now += 61
 
         benchmark(sweep)
-    assert resolver.report.count("remote_failed") == 0 or (
-        resolver.report.stale_serves > 0
+    assert client.report.count("remote_failed") == 0 or (
+        client.report.stale_serves > 0
     )
 
 
@@ -169,16 +170,16 @@ def test_tripped_circuit_is_fast(benchmark):
         retry_policy=RetryPolicy(max_attempts=1),
         breaker=breaker,
     )
-    resolver = ModelResolver(Library("local"), [client])
+    resolver = RegistryResolver(Library("local"), [client])
     with pytest.raises(Exception):
-        resolver.resolve("sram")  # trips the breaker
+        resolver.resolve_strict("sram")  # trips the breaker
     assert breaker.state == "open"
 
     requests_before = client.requests_made
 
     def rejected_lookup():
         try:
-            resolver.resolve("sram")
+            resolver.resolve_strict("sram")
         except Exception:
             pass
 

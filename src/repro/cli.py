@@ -126,9 +126,10 @@ def _cmd_sweep_engine(args: argparse.Namespace) -> int:
     """Multi-axis sweep through :mod:`repro.explore` — optionally as a
     persistent, resumable job (``--state``)."""
     from .explore import (
-        DerivedObjective,
         ParameterSpace,
         coupled_from_spec,
+        derived_from_spec,
+        objectives_from_spec,
         parse_axis_spec,
     )
     from .explore.engine import run_job, run_sweep
@@ -160,17 +161,8 @@ def _cmd_sweep_engine(args: argparse.Namespace) -> int:
     design = _build_design(args.design)
     axes = [parse_axis_spec(spec) for spec in args.axis]
     coupled = [coupled_from_spec(spec) for spec in args.couple]
-    derived = []
-    for spec in args.derive:
-        if "=" not in spec:
-            raise PowerPlayError(
-                f"--derive {spec!r} must look like name=expression"
-            )
-        name, _, source = spec.partition("=")
-        derived.append(DerivedObjective(name.strip(), source.strip()))
-    objectives = tuple(
-        part.strip() for part in args.objectives.split(",") if part.strip()
-    )
+    derived = [derived_from_spec(spec) for spec in args.derive]
+    objectives = objectives_from_spec(args.objectives)
     from .explore.space import DEFAULT_POINT_CAP
 
     cap = DEFAULT_POINT_CAP if args.max_points is None else args.max_points

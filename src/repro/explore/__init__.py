@@ -41,6 +41,8 @@ from .space import (
     DerivedObjective,
     ParameterSpace,
     coupled_from_spec,
+    derived_from_spec,
+    objectives_from_spec,
     parse_axis_spec,
 )
 
@@ -56,8 +58,10 @@ __all__ = [
     "SweepJob",
     "SweepOutcome",
     "coupled_from_spec",
+    "derived_from_spec",
     "export_csv",
     "export_json",
+    "objectives_from_spec",
     "pareto_rows",
     "parse_axis_spec",
     "resolve_target",

@@ -40,6 +40,18 @@ from ..errors import ExploreError, PowerPlayError
 BUILTIN_OBJECTIVES = ("power", "area", "delay")
 
 
+def check_objectives(objectives: Sequence[str]) -> None:
+    """Refuse an empty objective list or a name that is not built in."""
+    for objective in objectives:
+        if objective not in BUILTIN_OBJECTIVES:
+            raise ExploreError(
+                f"unknown objective {objective!r}: choose from "
+                f"{', '.join(BUILTIN_OBJECTIVES)} (or derive it)"
+            )
+    if not objectives:
+        raise ExploreError("need at least one objective")
+
+
 def resolve_target(design: Design, target: str) -> Tuple[ParameterScope, str]:
     """Resolve a sweep target into ``(scope, parameter name)``.
 
@@ -113,14 +125,7 @@ class BatchEvaluator:
     """
 
     def __init__(self, design: Design, objectives: Tuple[str, ...] = ("power",)):
-        for objective in objectives:
-            if objective not in BUILTIN_OBJECTIVES:
-                raise ExploreError(
-                    f"unknown objective {objective!r}; built-ins are "
-                    f"{BUILTIN_OBJECTIVES}"
-                )
-        if not objectives:
-            raise ExploreError("need at least one objective")
+        check_objectives(objectives)
         self.design = design
         self.objectives = tuple(objectives)
         self._passes = tuple(_PASSES[objective] for objective in self.objectives)

@@ -43,6 +43,7 @@ from ..errors import JobError, PowerPlayError
 from ..library.designio import design_from_payload, design_to_payload
 from ..obs import get_logger, get_registry
 from ..state import FileBackend, open_backend
+from .batcheval import check_objectives
 from .results import ParetoFront
 from .space import DerivedObjective, ParameterSpace, check_held_points
 
@@ -135,6 +136,8 @@ class SweepJob:
         self.design_payload = design_to_payload(design)
         self.space = space
         self.objectives: Tuple[str, ...] = tuple(objectives)
+        # a new job only: stored jobs load through from_payload unchecked
+        check_objectives(self.objectives)
         self.derived: Tuple[DerivedObjective, ...] = tuple(derived)
         self.workers = max(1, int(workers))
         if mode not in ENGINE_MODES:

@@ -326,6 +326,23 @@ class DerivedObjective:
             raise ExploreError(f"corrupt objective payload: {exc}") from exc
 
 
+def derived_from_spec(spec: str) -> DerivedObjective:
+    """Parse ``name=expression`` into a :class:`DerivedObjective`."""
+    if "=" not in spec:
+        raise ExploreError(
+            f"derived objective {spec!r} must look like name=expression"
+        )
+    name, _, source = spec.partition("=")
+    return DerivedObjective(name.strip(), source.strip())
+
+
+def objectives_from_spec(spec: str) -> Tuple[str, ...]:
+    """Split a comma-separated objective list; blank means ``power``."""
+    return tuple(
+        part.strip() for part in spec.split(",") if part.strip()
+    ) or ("power",)
+
+
 class ParameterSpace:
     """The full sweep specification: axes x coupling, capped.
 

@@ -58,12 +58,15 @@ _HISTOGRAM_SUFFIXES = ("_bucket", "_sum", "_count")
 
 
 def validate_peer_url(url: str) -> str:
-    """Validate and normalize a fleet peer base URL.
+    """Validate and normalize a peer server's base URL.
 
-    Returns the URL with any trailing slash stripped.  Raises
-    :class:`ValueError` with a message naming what is wrong — a bad
-    ``--peer`` must fail at parse time with a clear error, not minutes
-    later as an opaque first-scrape circuit-breaker trip.
+    The one rule for every peer this program talks to — fleet peers,
+    registry sync peers, and every :class:`~repro.web.client.Browser`:
+    an ``http://`` scheme (the client speaks plain HTTP only), a host,
+    and a valid port.  Returns the URL with any trailing slash
+    stripped.  Raises :class:`ValueError` with a message naming what is
+    wrong — a bad ``--peer`` must fail at parse time with a clear error,
+    not minutes later as an opaque first-scrape circuit-breaker trip.
     """
     from urllib.parse import urlsplit
 
@@ -74,10 +77,8 @@ def validate_peer_url(url: str) -> str:
         parts = urlsplit(url)
     except ValueError as exc:
         raise ValueError(f"peer URL {url!r} does not parse: {exc}")
-    if parts.scheme not in ("http", "https"):
-        raise ValueError(
-            f"peer URL {url!r} needs an http:// or https:// scheme"
-        )
+    if parts.scheme != "http":
+        raise ValueError(f"peer URL {url!r} needs an http:// scheme")
     if not parts.hostname:
         raise ValueError(f"peer URL {url!r} has no host")
     try:
@@ -291,7 +292,7 @@ class _PeerClient:
 
     def scrape(self) -> Tuple[Dict[str, object], str]:
         """(health payload, metrics text) — raises on failure."""
-        from ..errors import TransientRemoteError
+        from ..web.resilience import guarded_call
 
         def fetch() -> Tuple[Dict[str, object], str]:
             metrics_text = self.browser.get_text("/metrics")
@@ -306,13 +307,10 @@ class _PeerClient:
                 health = {"status": "malformed"}
             return health, metrics_text
 
-        def attempt() -> Tuple[Dict[str, object], str]:
-            with span("fleet_scrape_attempt", url=self.url):
-                return self.breaker.call(
-                    fetch, failure_types=(TransientRemoteError, OSError)
-                )
-
-        return self.retry_policy.call(attempt)
+        return guarded_call(
+            fetch, "fleet_scrape_attempt", self.url, self.name,
+            self.retry_policy, self.breaker,
+        )
 
 
 class FleetScraper:

@@ -692,6 +692,11 @@ class HistoryStore:
     def _merge_m1(
         self, members: Sequence[_Segment],
     ) -> Optional[Dict[str, object]]:
+        """Fold 1m rollups into one 15m rollup (``None`` if none loads).
+
+        A member whose columns do not decode is quarantined, as
+        :meth:`_rollup_cells` does, and the others still merge.
+        """
         buckets: Dict[int, Dict[str, Dict[str, float]]] = {}
         kinds: Dict[str, str] = {}
         loaded = 0
@@ -699,46 +704,47 @@ class HistoryStore:
             payload = self._load_segment(segment)
             if payload is None:
                 continue
+            cells = []
+            try:
+                starts = _decode_deltas(payload.get("buckets", []))  # type: ignore[arg-type]
+                for key, entry in payload.get("series", {}).items():  # type: ignore[union-attr]
+                    lasts = entry.get("last", [])
+                    for index, start in enumerate(starts):
+                        if lasts[index] is None:
+                            continue
+                        last = float(lasts[index])
+                        low = entry.get("min", [])[index]
+                        high = entry.get("max", [])[index]
+                        cells.append((
+                            str(key), start, last,
+                            float(entry.get("increase", [])[index] or 0.0),
+                            last if low is None else float(low),
+                            last if high is None else float(high),
+                            float(entry.get("count", [])[index] or 0.0),
+                        ))
+            except (ValueError, TypeError, KeyError, IndexError):
+                self._segments.pop(segment.name, None)
+                self._quarantine(segment.path, "malformed columns")
+                continue
             loaded += 1
             kinds.update({
                 str(k): str(v)
                 for k, v in payload.get("families", {}).items()  # type: ignore[union-attr]
             })
-            starts = _decode_deltas(payload.get("buckets", []))  # type: ignore[arg-type]
-            for key, entry in payload.get("series", {}).items():  # type: ignore[union-attr]
-                for index, start in enumerate(starts):
-                    last = entry.get("last", [])[index]
-                    if last is None:
-                        continue
-                    coarse = int(
-                        math.floor(start / M15_BUCKET_S) * M15_BUCKET_S
-                    )
-                    cell = buckets.setdefault(coarse, {}).setdefault(
-                        str(key),
-                        {"last": float(last), "last_t": start,
-                         "increase": 0.0, "min": math.inf,
-                         "max": -math.inf, "count": 0.0},
-                    )
-                    if start >= cell["last_t"]:
-                        cell["last"], cell["last_t"] = float(last), start
-                    cell["increase"] += float(
-                        entry.get("increase", [])[index] or 0.0
-                    )
-                    cell["min"] = min(
-                        cell["min"],
-                        float(entry.get("min", [])[index]
-                              if entry.get("min", [])[index] is not None
-                              else last),
-                    )
-                    cell["max"] = max(
-                        cell["max"],
-                        float(entry.get("max", [])[index]
-                              if entry.get("max", [])[index] is not None
-                              else last),
-                    )
-                    cell["count"] += float(
-                        entry.get("count", [])[index] or 0.0
-                    )
+            for key, start, last, increase, low, high, count in cells:
+                coarse = int(math.floor(start / M15_BUCKET_S) * M15_BUCKET_S)
+                cell = buckets.setdefault(coarse, {}).setdefault(
+                    key,
+                    {"last": last, "last_t": start,
+                     "increase": 0.0, "min": math.inf,
+                     "max": -math.inf, "count": 0.0},
+                )
+                if start >= cell["last_t"]:
+                    cell["last"], cell["last_t"] = last, start
+                cell["increase"] += increase
+                cell["min"] = min(cell["min"], low)
+                cell["max"] = max(cell["max"], high)
+                cell["count"] += count
         if not loaded or not buckets:
             return None
         return _encode_rollup(buckets, kinds, "m15", M15_BUCKET_S)

@@ -30,7 +30,6 @@ from ..errors import IntegrityError, RegistryError, RemoteError
 from ..library.catalog import Library, LibraryEntry
 from ..obs import get_logger, get_registry, span
 from ..web.remote import RemoteLibraryClient
-from ..web.resilience import CACHE_HIT, FETCHED, STALE_SERVED
 from .registry import ModelRegistry
 
 _LOG = get_logger("registry.resolve")
@@ -163,28 +162,18 @@ class RegistryResolver:
 
             # 2. each remote: live fetch, falling to its stale cache
             for remote in self.remotes:
-                before = len(remote.report.events)
                 try:
-                    entry = remote.fetch_model(name)
+                    entry, result = remote.fetch_model_outcome(name)
                 except RemoteError as exc:
                     report.record(
                         "remote", remote.base_url, "failed",
                         f"{type(exc).__name__}: {exc}",
                     )
                     continue
-                new_events = remote.report.events[before:]
-                kinds = {event.kind for event in new_events}
-                if STALE_SERVED in kinds:
-                    report.record("remote", remote.base_url, "stale")
-                    sp.set(outcome="stale")
-                    self._finish(report, "stale", remote.base_url)
-                else:
-                    result = "cache" if CACHE_HIT in kinds else "live"
-                    if FETCHED in kinds:
-                        result = "live"
-                    report.record("remote", remote.base_url, result)
-                    sp.set(outcome="live")
-                    self._finish(report, "live", remote.base_url)
+                report.record("remote", remote.base_url, result)
+                outcome = "stale" if result == "stale" else "live"
+                sp.set(outcome=outcome)
+                self._finish(report, outcome, remote.base_url)
                 return entry, report
 
             # 3. the mirrored artifact — outage-resilient by design
@@ -205,7 +194,9 @@ class RegistryResolver:
             return None, report
 
     def resolve_strict(self, name: str) -> LibraryEntry:
-        """The raising flavor, for callers that cannot proceed without."""
+        """The raising form of :meth:`resolve`, for callers that cannot
+        proceed without the model: :class:`~repro.errors.RegistryError`
+        naming every step tried."""
         entry, report = self.resolve(name)
         if entry is None:
             raise RegistryError(

@@ -37,9 +37,9 @@ from ..errors import (
     RemoteError,
     TransientRemoteError,
 )
-from ..obs import annotate, get_logger, get_registry, span
+from ..obs import get_logger, get_registry, span
 from ..web.client import Browser
-from ..web.resilience import CircuitBreaker, RetryPolicy
+from ..web.resilience import CircuitBreaker, RetryPolicy, guarded_call
 from .artifacts import ModelArtifact
 from .registry import ModelRegistry
 
@@ -123,29 +123,13 @@ class RegistrySyncClient:
         self.requests_made = 0
         self.clock = clock
 
-    # -- guarded transport -------------------------------------------------
-
     def _guarded(self, fn: Callable[[], object], target: str) -> object:
-        """One registry operation through breaker + bounded retries."""
-
-        def attempt() -> object:
-            with span(
-                "registry_attempt", url=self.base_url, target=target
-            ):
-                return self.breaker.call(
-                    fn, failure_types=(TransientRemoteError, OSError)
-                )
-
-        def on_retry(attempt_index: int, exc: Exception) -> None:
-            annotate(
-                "registry_retry",
-                url=self.base_url,
-                target=target,
-                attempt=attempt_index + 1,
-                error=type(exc).__name__,
-            )
-
-        return self.retry_policy.call(attempt, on_retry=on_retry)
+        """One registry operation through breaker + bounded retries,
+        traced as ``registry_attempt`` spans."""
+        return guarded_call(
+            fn, "registry_attempt", self.base_url, target,
+            self.retry_policy, self.breaker,
+        )
 
     # -- protocol ----------------------------------------------------------
 

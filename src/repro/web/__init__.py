@@ -20,7 +20,6 @@ from .hub import (
 )
 from .remote import (
     FederationReport,
-    ModelResolver,
     RemoteLibraryClient,
     federate,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "HUB_QUEUE_DELAY",
     "MailHub",
     "ModelCache",
-    "ModelResolver",
     "Page",
     "PowerPlayServer",
     "RemoteLibraryClient",

@@ -56,12 +56,13 @@ from ..errors import (
     WebError,
 )
 from ..explore import (
-    DerivedObjective,
     JobStore,
     ParameterSpace,
     coupled_from_spec,
+    derived_from_spec,
     export_csv,
     export_json,
+    objectives_from_spec,
     pareto_rows,
     parse_axis_spec,
     sensitivity_ranking,
@@ -1058,26 +1059,9 @@ class Application:
             )
         coupled = [coupled_from_spec(spec)
                    for spec in self._sweep_lines(data, "couple")]
-        derived = []
-        for spec in self._sweep_lines(data, "derive"):
-            if "=" not in spec:
-                raise ExploreError(
-                    f"derived objective {spec!r} must look like "
-                    "name=expression"
-                )
-            dname, _, source = spec.partition("=")
-            derived.append(DerivedObjective(dname.strip(), source.strip()))
-        objectives = tuple(
-            part.strip()
-            for part in (data.get("objectives") or "power").split(",")
-            if part.strip()
-        ) or ("power",)
-        for objective in objectives:
-            if objective not in ("power", "area", "delay"):
-                raise ExploreError(
-                    f"unknown objective {objective!r}: choose from "
-                    "power, area, delay (or add it under 'derive')"
-                )
+        derived = [derived_from_spec(spec)
+                   for spec in self._sweep_lines(data, "derive")]
+        objectives = objectives_from_spec(data.get("objectives") or "")
         point_cap = self._sweep_int(data, "point_cap", 0)
         if point_cap > 0:
             space = ParameterSpace(axes, coupled, point_cap=point_cap)
@@ -1969,9 +1953,10 @@ class Application:
         returns the per-artifact :class:`SyncReport`; a flapping peer
         yields a partial report, not an error.
         """
-        peer = (data.get("peer") or "").strip()
-        if not peer.startswith(("http://", "https://")):
-            return self._json_error(400, "peer must be an http(s) URL")
+        try:
+            peer = obs_fleet.validate_peer_url(data.get("peer") or "")
+        except ValueError as exc:
+            return self._json_error(400, str(exc))
         client = RegistrySyncClient(peer)
         try:
             report = sync_from(self.models_registry, client)

@@ -17,6 +17,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import RemoteError, TransientRemoteError
 from ..obs import propagate
+from ..obs.fleet import validate_peer_url
 from ..obs.trace import graft_remote
 
 _LINK_RE = re.compile(r'<a href="([^"]+)">(.*?)</a>', re.S)
@@ -72,27 +73,25 @@ class Page:
 class Browser:
     """Minimal HTTP browser bound to one PowerPlay server.
 
-    Connection-level failures raise
-    :class:`~repro.errors.TransientRemoteError` (a
+    ``base_url`` must pass :func:`~repro.obs.fleet.validate_peer_url`
+    (else :class:`~repro.errors.RemoteError`).  Connection-level
+    failures raise :class:`~repro.errors.TransientRemoteError` (a
     :class:`~repro.errors.RemoteError` subclass), so callers can retry
-    the plausibly-temporary ones.  Pass a
-    :class:`~repro.web.resilience.RetryPolicy` as ``retry_policy`` to
-    have *idempotent* requests (GET) retried in-browser; POSTs are
-    never retried automatically — a form submit is not safely
-    repeatable.
+    the plausibly-temporary ones; retrying is the caller's job
+    (:func:`~repro.web.resilience.guarded_call`).
     """
 
     #: redirect hop limit — a redirect loop must fail, not hang
     MAX_REDIRECTS = 5
 
-    def __init__(self, base_url: str, timeout: float = 10.0, retry_policy=None):
-        parsed = urllib.parse.urlsplit(base_url)
-        if parsed.scheme != "http" or not parsed.hostname:
-            raise RemoteError(f"unsupported base URL {base_url!r}")
+    def __init__(self, base_url: str, timeout: float = 10.0):
+        try:
+            parsed = urllib.parse.urlsplit(validate_peer_url(base_url))
+        except ValueError as exc:
+            raise RemoteError(f"unsupported base URL: {exc}") from None
         self.host = parsed.hostname
         self.port = parsed.port or 80
         self.timeout = timeout
-        self.retry_policy = retry_policy
 
     def _request_once(
         self,
@@ -156,8 +155,6 @@ class Browser:
             method, path, body, content_type = "GET", location, None, None
 
     def get(self, path: str) -> Page:
-        if self.retry_policy is not None:
-            return self.retry_policy.call(lambda: self._request("GET", path))
         return self._request("GET", path)
 
     def post(self, path: str, fields: Mapping[str, object]) -> Page:

@@ -10,9 +10,10 @@ shared models at well-known JSON endpoints (``/api/library.json``,
   its origin URL;
 * :func:`federate` — merge several remote libraries into a local one
   ("If a library is characterized and put on the web in Massachusetts,
-  it can be used for estimates in California");
-* on-demand resolution with a small cache, so a design evaluation that
-  needs a remote model fetches it once per session.
+  it can be used for estimates in California").
+
+On-demand resolution by name (local library, then each remote, then
+the registry mirror) is :class:`repro.registry.resolve.RegistryResolver`.
 
 A federation spans the open internet, so every client is wrapped in the
 resilience layer (:mod:`repro.web.resilience`): transient failures are
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import (
     CircuitOpenError,
@@ -44,15 +45,13 @@ from .resilience import (
     CACHE_HIT,
     CIRCUIT_SKIPPED,
     FETCHED,
-    LOCAL_HIT,
-    MIRROR_SERVED,
     REMOTE_FAILED,
-    RETRY,
     STALE_SERVED,
     CircuitBreaker,
     ModelCache,
     ResolutionReport,
     RetryPolicy,
+    guarded_call,
 )
 
 
@@ -84,57 +83,13 @@ class RemoteLibraryClient:
         #: degradations observed across this client's lifetime
         self.report = ResolutionReport()
 
-    # -- guarded transport -------------------------------------------------
-
-    def _guarded(self, fn: Callable[[], "object"], name: str = "") -> "object":
-        """One remote operation through breaker + retries.
-
-        The breaker is *inside* the retry loop so each attempt checks
-        (and feeds) it; once it trips, :class:`CircuitOpenError` aborts
-        immediately — zero retries are ever issued to an open circuit.
-
-        When tracing is on, every attempt opens its own
-        ``remote_attempt`` span (the provider's grafted sub-span lands
-        under the attempt that succeeded), each retry decision is an
-        instant ``retry`` annotation carrying the backoff delay, and a
-        rejected call against an open circuit annotates the wait.
-        """
-        attempt_counter = [0]
-
-        def attempt() -> "object":
-            with span(
-                "remote_attempt",
-                url=self.base_url,
-                target=name or "library",
-                attempt=attempt_counter[0],
-            ):
-                try:
-                    return self.breaker.call(
-                        fn, failure_types=(TransientRemoteError, OSError)
-                    )
-                except CircuitOpenError as exc:
-                    # the breaker wait, visible in the trace tree
-                    annotate(
-                        "circuit_wait",
-                        url=self.base_url,
-                        retry_after_s=round(exc.retry_after, 3),
-                    )
-                    raise
-
-        def on_retry(attempt_index: int, exc: Exception) -> None:
-            self.report.record(
-                RETRY, self.base_url, name, f"attempt {attempt_index + 1}: {exc}"
-            )
-            annotate(
-                "retry",
-                url=self.base_url,
-                attempt=attempt_index + 1,
-                delay_s=round(self.retry_policy.delay(attempt_index), 4),
-                error=type(exc).__name__,
-            )
-            attempt_counter[0] += 1
-
-        return self.retry_policy.call(attempt, on_retry=on_retry)
+    def _guarded(self, fn: Callable[[], "object"], target: str) -> "object":
+        """One remote operation through breaker + retries, traced as
+        ``remote_attempt`` spans; retries land in :attr:`report`."""
+        return guarded_call(
+            fn, "remote_attempt", self.base_url, target,
+            self.retry_policy, self.breaker, self.report,
+        )
 
     def ping(self) -> Dict[str, str]:
         """Identify the remote server (protocol handshake)."""
@@ -147,7 +102,7 @@ class RemoteLibraryClient:
             return payload
 
         with span("remote_ping", url=self.base_url):
-            return self._guarded(fetch)
+            return self._guarded(fetch, "ping")
 
     def fetch_library(self) -> Library:
         """Fetch every shared model in one request."""
@@ -175,7 +130,7 @@ class RemoteLibraryClient:
                 ) from exc
 
         with span("remote_fetch_library", url=self.base_url) as sp:
-            library = self._guarded(fetch)
+            library = self._guarded(fetch, "library")
             sp.set(entries=len(library))
         for entry in library:
             self._cache.put(entry.name, entry)
@@ -215,12 +170,18 @@ class RemoteLibraryClient:
             ) from exc
 
     def fetch_model(self, name: str) -> LibraryEntry:
-        """Fetch one model on demand.
+        """Fetch one model on demand (see :meth:`fetch_model_outcome`)."""
+        return self.fetch_model_outcome(name)[0]
+
+    def fetch_model_outcome(self, name: str) -> Tuple[LibraryEntry, str]:
+        """Fetch one model on demand; returns ``(entry, outcome)``.
 
         Resolution order: fresh cache hit -> network (breaker +
-        retries) -> stale cache fallback.  A stale serve or a skipped
-        circuit is recorded in :attr:`report`; only when no copy exists
-        at all does the failure propagate.  Traced as one
+        retries) -> stale cache fallback, so ``outcome`` is ``"cache"``,
+        ``"live"`` or ``"stale"`` — this call's own, whatever other
+        threads fetch through this client meanwhile.  A stale serve or
+        a skipped circuit is recorded in :attr:`report`; only when no
+        copy exists at all does the failure propagate.  Traced as one
         ``remote_fetch`` span whose children are the attempts, retries,
         breaker waits, and (on success) the provider's grafted handler
         span.
@@ -230,7 +191,7 @@ class RemoteLibraryClient:
             if cached is not None:
                 self.report.record(CACHE_HIT, self.base_url, name)
                 sp.set(outcome="cache_fresh")
-                return cached
+                return cached, "cache"
             try:
                 entry = self._guarded(lambda: self._fetch_model_once(name), name)
             except CircuitOpenError as exc:
@@ -239,7 +200,7 @@ class RemoteLibraryClient:
                 if stale is not None:
                     self.report.record(STALE_SERVED, self.base_url, name)
                     sp.set(outcome="stale_after_circuit")
-                    return stale
+                    return stale, "stale"
                 sp.set(outcome="circuit_open")
                 raise
             except TransientRemoteError as exc:
@@ -248,13 +209,13 @@ class RemoteLibraryClient:
                 if stale is not None:
                     self.report.record(STALE_SERVED, self.base_url, name)
                     sp.set(outcome="stale_after_failure")
-                    return stale
+                    return stale, "stale"
                 sp.set(outcome="failed")
                 raise
             self._cache.put(name, entry)
             self.report.record(FETCHED, self.base_url, name)
             sp.set(outcome="fetched")
-            return entry
+            return entry, "live"
 
     def clear_cache(self) -> None:
         self._cache.clear()
@@ -325,98 +286,3 @@ def federate(
                 continue
             report.succeeded[url] = local.merge(remote_library, prefer=prefer)
         return report
-
-
-class ModelResolver:
-    """Name -> entry resolution across local + remote libraries.
-
-    The lookup order is local-first (the paper's servers share models;
-    local characterizations take precedence), then each remote in the
-    order given, then — when a ``registry``
-    (:class:`~repro.registry.registry.ModelRegistry`) is attached — the
-    digest-verified local mirror, so a total provider outage still
-    resolves every previously synced model.  Fetches are on-demand and
-    cached — the Figure 7 "information transfer on demand" behaviour —
-    and each lookup's degradations (retries, stale serves, skipped
-    circuits, mirror serves) accumulate in :attr:`report`;
-    :attr:`last_report` covers just the most recent ``resolve`` call.
-    """
-
-    def __init__(
-        self,
-        local: Library,
-        remotes: Sequence[RemoteLibraryClient] = (),
-        registry: Optional[object] = None,
-    ):
-        self.local = local
-        self.remotes = list(remotes)
-        #: an optional ModelRegistry (typed loosely: repro.registry
-        #: imports this module, so importing it back at module scope
-        #: would be a cycle)
-        self.registry = registry
-        self.report = ResolutionReport()
-        self.last_report = ResolutionReport()
-
-    def resolve(self, name: str) -> LibraryEntry:
-        self.last_report = ResolutionReport()
-        with span("resolve", model=name) as sp:
-            try:
-                if name in self.local:
-                    self.last_report.record(LOCAL_HIT, self.local.name, name)
-                    sp.set(outcome="local")
-                    return self.local.get(name)
-                failures: List[str] = []
-                for remote in self.remotes:
-                    before = len(remote.report.events)
-                    try:
-                        entry = remote.fetch_model(name)
-                        self.last_report.events.extend(
-                            remote.report.events[before:]
-                        )
-                        sp.set(outcome="remote", url=remote.base_url)
-                        return entry
-                    except RemoteError as exc:
-                        self.last_report.events.extend(
-                            remote.report.events[before:]
-                        )
-                        failures.append(str(exc))
-                if self.registry is not None:
-                    entry = self._from_mirror(name, failures)
-                    if entry is not None:
-                        sp.set(outcome="mirror")
-                        return entry
-                detail = (
-                    "; ".join(failures) if failures else "no remotes configured"
-                )
-                self.last_report.record(REMOTE_FAILED, "resolver", name, detail)
-                sp.set(outcome="unresolved")
-                raise RemoteError(f"cannot resolve model {name!r}: {detail}")
-            finally:
-                self.last_report.merged_into(self.report)
-
-    def _from_mirror(
-        self, name: str, failures: List[str]
-    ) -> Optional[LibraryEntry]:
-        """The last resort: a digest-verified mirrored artifact.
-
-        Only reached after every remote failed, so a hit here is by
-        definition a degradation — recorded as ``mirror_served``.  A
-        mirror miss (or a quarantined copy) appends to ``failures`` and
-        lets the caller raise with the full chain in the message.
-        """
-        from ..errors import PowerPlayError
-
-        try:
-            entry = self.registry.get_entry(name)
-        except PowerPlayError as exc:
-            failures.append(f"mirror: {exc}")
-            return None
-        self.last_report.record(
-            MIRROR_SERVED, "registry", name,
-            f"all {len(self.remotes)} remote(s) failed",
-        )
-        annotate("mirror_served", model=name)
-        return entry
-
-    def total_remote_requests(self) -> int:
-        return sum(remote.requests_made for remote in self.remotes)

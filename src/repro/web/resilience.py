@@ -20,6 +20,10 @@ without wall-clock sleeps:
   and when the refetch fails the stale copy keeps designs evaluable
   through an outage.
 
+:func:`guarded_call` puts the first two together: every client that
+talks to a peer (model fetches, registry sync, fleet scrapes) runs each
+remote operation through it.
+
 Nothing degrades silently: every retry, stale serve, and skipped host
 is recorded as a :class:`ResolutionEvent` in a
 :class:`ResolutionReport` — and, since the observability layer
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
 from ..errors import CircuitOpenError, TransientRemoteError
-from ..obs import get_logger, get_registry
+from ..obs import annotate, get_logger, get_registry, span
 
 T = TypeVar("T")
 
@@ -143,8 +147,8 @@ class RetryPolicy:
         """Run ``fn``, retrying on the configured exception types.
 
         ``on_retry(attempt, exc)`` is invoked before each sleep so
-        callers (e.g. :class:`~repro.web.remote.ModelResolver`) can
-        record the degradation.  Non-retryable exceptions — including
+        callers (e.g. :func:`guarded_call`) can record the
+        degradation.  Non-retryable exceptions — including
         :class:`~repro.errors.CircuitOpenError`, which must never cause
         another call into a tripped host — propagate immediately.
         """
@@ -299,6 +303,67 @@ class CircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
+# the guarded remote call
+# ---------------------------------------------------------------------------
+
+def guarded_call(
+    fn: Callable[[], T],
+    attempt_span: str,
+    url: str,
+    target: str,
+    retry_policy: RetryPolicy,
+    breaker: CircuitBreaker,
+    report: Optional["ResolutionReport"] = None,
+) -> T:
+    """Run one remote operation: each attempt through ``breaker``,
+    inside ``retry_policy``'s bounded retries.
+
+    The breaker is *inside* the retry loop so each attempt checks (and
+    feeds) it; once it trips, :class:`~repro.errors.CircuitOpenError`
+    aborts immediately — zero retries are ever issued to an open
+    circuit.  Transport failures (``TransientRemoteError``, ``OSError``)
+    feed the breaker; any other outcome proves the host alive.
+
+    Traced: every attempt opens its own ``attempt_span`` span (``url``,
+    ``target``, ``attempt``), so a provider's grafted sub-span lands
+    under the attempt that succeeded; each retry decision is an instant
+    ``retry`` annotation carrying the backoff delay, and a call rejected
+    by an open circuit annotates ``circuit_wait``.  Each retry is also
+    recorded in ``report``, when one is given.
+    """
+    attempt_index = 0
+
+    def attempt() -> T:
+        with span(attempt_span, url=url, target=target, attempt=attempt_index):
+            try:
+                return breaker.call(
+                    fn, failure_types=(TransientRemoteError, OSError)
+                )
+            except CircuitOpenError as exc:
+                annotate(
+                    "circuit_wait",
+                    url=url,
+                    retry_after_s=round(exc.retry_after, 3),
+                )
+                raise
+
+    def on_retry(index: int, exc: Exception) -> None:
+        nonlocal attempt_index
+        if report is not None:
+            report.record(RETRY, url, target, f"attempt {index + 1}: {exc}")
+        annotate(
+            "retry",
+            url=url,
+            attempt=index + 1,
+            delay_s=round(retry_policy.delay(index), 4),
+            error=type(exc).__name__,
+        )
+        attempt_index = index + 1
+
+    return retry_policy.call(attempt, on_retry=on_retry)
+
+
+# ---------------------------------------------------------------------------
 # TTL'd stale-while-revalidate cache
 # ---------------------------------------------------------------------------
 
@@ -412,9 +477,7 @@ STALE_SERVED = "stale_served"
 CIRCUIT_SKIPPED = "circuit_skipped"
 REMOTE_FAILED = "remote_failed"
 FETCHED = "fetched"
-LOCAL_HIT = "local_hit"
 CACHE_HIT = "cache_hit"
-MIRROR_SERVED = "mirror_served"
 
 
 @dataclass
@@ -437,11 +500,11 @@ class ResolutionEvent:
 
 @dataclass
 class ResolutionReport:
-    """Structured account of a resolution: nothing degrades silently.
+    """Structured account of a client's lookups: nothing degrades
+    silently.
 
-    A report accumulates across lookups (a :class:`ModelResolver` keeps
-    one per ``resolve`` call and a running total), so callers can both
-    inspect a single lookup and audit a whole evaluation session.
+    A :class:`~repro.web.remote.RemoteLibraryClient` keeps one for its
+    lifetime, so callers can audit a whole evaluation session.
     """
 
     events: List[ResolutionEvent] = field(default_factory=list)
@@ -467,11 +530,8 @@ class ResolutionReport:
     @property
     def degraded(self) -> bool:
         """True when anything short of a clean fetch happened."""
-        clean = {FETCHED, LOCAL_HIT, CACHE_HIT}
+        clean = {FETCHED, CACHE_HIT}
         return any(event.kind not in clean for event in self.events)
-
-    def merged_into(self, other: "ResolutionReport") -> None:
-        other.events.extend(self.events)
 
     def summary(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

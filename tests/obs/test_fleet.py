@@ -250,12 +250,13 @@ class TestValidatePeerUrl:
         from repro.obs.fleet import validate_peer_url
 
         assert validate_peer_url("http://h:8080") == "http://h:8080"
-        assert validate_peer_url("https://h:8080/") == "https://h:8080"
+        assert validate_peer_url("http://h:8080/") == "http://h:8080"
         assert validate_peer_url("http://10.0.0.2") == "http://10.0.0.2"
 
     @pytest.mark.parametrize("bad, fragment", [
         ("localhost:9090", "scheme"),          # no scheme at all
         ("ftp://h:21", "scheme"),              # wrong scheme
+        ("https://h:8080", "scheme"),          # the client speaks http only
         ("http://", "host"),                   # scheme without a host
         ("http:///metrics", "host"),           # path but no host
         ("http://h:notaport", "port"),         # unparseable port

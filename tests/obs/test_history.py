@@ -303,6 +303,27 @@ class TestCompaction:
         assert store.compact()["expired"] == 1
         assert list(store.segments_dir.iterdir()) == []
 
+    def test_short_m1_column_is_quarantined_and_the_rest_merge(
+            self, tmp_path, clock):
+        """A 1m rollup whose ``last`` column is cut short must not stop
+        compaction and retention for good."""
+        store = self.seeded(tmp_path, clock, rounds=24)
+        clock.advance(store.config.raw_retention_s + 1)
+        assert store.compact()["m1"] == 6
+        first = sorted(store.segments_dir.iterdir())[0]
+        payload = json.loads(first.read_text())
+        for entry in payload["series"].values():
+            entry["last"] = []
+        first.write_text(json.dumps(payload))
+
+        clock.advance(store.config.m1_retention_s + 21600 * 2)
+        assert store.compact()["m15"] == 1
+        assert (first.name, "malformed columns") in store.quarantined
+        (rng,) = store.query("powerplay_http_requests_total").series
+        assert rng["points"][-1][1] == 23.0  # the other five merged
+        clock.advance(store.config.m15_retention_s + 21600 * 2)
+        assert store.compact()["expired"] == 1
+
     def test_compaction_is_deterministic_across_replicas(self, tmp_path,
                                                          clock):
         a_root, b_root = tmp_path / "a", tmp_path / "b"

@@ -181,6 +181,15 @@ class TestEngineSweep:
         assert not (tmp_path / "jobs").exists() or \
             not list((tmp_path / "jobs").iterdir())
 
+    def test_unknown_objective_writes_no_job(self, capsys, tmp_path):
+        code, _out, err = run(
+            capsys, "sweep", "fig3", "--axis", "VDD=1:2:0.5",
+            "--objectives", "power,speed", "--state", str(tmp_path),
+        )
+        assert code == 2 and "unknown objective 'speed'" in err
+        assert not (tmp_path / "jobs").exists() or \
+            not list((tmp_path / "jobs").iterdir())
+
     def test_a_pruned_job_may_pass_a_million_points(self, capsys, tmp_path):
         code, out, _err = run(capsys, "sweep", "fig1", *self.MILLION,
                               "--prune", "--chunk-size", "4096",

@@ -54,6 +54,14 @@ class TestFleet:
         assert payload["reachable"] == 1
         assert [n["name"] for n in payload["nodes"]] == ["alpha", "ghost"]
 
+    def test_https_peer_is_refused_by_the_one_url_rule(self, capsys):
+        # the scraper's client speaks plain HTTP, so the parse-time
+        # check refuses what the client could never reach
+        code, out, err = run(capsys, "fleet", "https://127.0.0.1:9")
+        assert code == 2
+        assert out == ""
+        assert "https://127.0.0.1:9" in err and "http:// scheme" in err
+
 
 class TestFlight:
     def test_show_live_ring(self, capsys, tmp_path):

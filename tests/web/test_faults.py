@@ -4,7 +4,8 @@ chaos.
 These tests encode the PR's acceptance criteria directly:
 
 * under a 30% injected transient-failure rate, every cacheable lookup
-  through :class:`ModelResolver` still succeeds;
+  through :class:`~repro.registry.resolve.RegistryResolver` still
+  succeeds;
 * once a circuit trips, zero further requests (and zero retries) are
   issued to the dead host;
 * previously fetched models stay servable (stale) through an outage.
@@ -17,14 +18,16 @@ import pytest
 from repro.errors import (
     CircuitOpenError,
     FaultInjected,
+    RegistryError,
     RemoteError,
     TransientRemoteError,
 )
 from repro.library.catalog import Library
+from repro.registry.resolve import RegistryResolver
 from repro.web.app import Application
 from repro.web.client import Browser
 from repro.web.faults import FAULT_KINDS, ChaosServer, FaultPlan, FaultyApplication
-from repro.web.remote import ModelResolver, RemoteLibraryClient, federate
+from repro.web.remote import RemoteLibraryClient, federate
 from repro.web.resilience import CircuitBreaker, RetryPolicy
 from repro.web.server import PowerPlayServer
 
@@ -205,14 +208,14 @@ class TestResilienceUnderChaos:
             cache_ttl=60.0,
             clock=clock,
         )
-        resolver = ModelResolver(Library("local"), [client])
+        resolver = RegistryResolver(Library("local"), [client])
 
         resolved = 0
         lookups = 0
         for _round in range(4):
             for name in self.MODELS:
                 lookups += 1
-                entry = resolver.resolve(name)
+                entry = resolver.resolve_strict(name)
                 assert entry.name == name
                 resolved += 1
             clock.advance(61)  # expire the cache: next round re-fetches
@@ -221,7 +224,7 @@ class TestResilienceUnderChaos:
         assert client.requests_made >= 20
         # the fault plan really did bite, and nothing was silent
         assert server.plan.faults_injected > 0
-        assert resolver.report.retries > 0
+        assert client.report.retries > 0
 
     def test_acceptance_zero_requests_to_a_tripped_circuit(self):
         policy = fast_retry(attempts=3)
@@ -232,9 +235,9 @@ class TestResilienceUnderChaos:
             retry_policy=policy,
             breaker=breaker,
         )
-        resolver = ModelResolver(Library("local"), [client])
-        with pytest.raises(RemoteError):
-            resolver.resolve("sram")
+        resolver = RegistryResolver(Library("local"), [client])
+        with pytest.raises(RegistryError):
+            resolver.resolve_strict("sram")
         # the breaker tripped after 2 connection failures, mid-retry
         assert breaker.state == "open"
         requests_at_trip = client.requests_made
@@ -242,13 +245,13 @@ class TestResilienceUnderChaos:
         assert requests_at_trip == 2
 
         for _ in range(10):
-            with pytest.raises(RemoteError):
-                resolver.resolve("multiplier")
+            with pytest.raises(RegistryError):
+                resolver.resolve_strict("multiplier")
         # zero wire requests and zero retries since the trip
         assert client.requests_made == requests_at_trip
         assert policy.retries_issued == retries_at_trip
         # 1 skip from the resolve that tripped it + 10 fast rejections
-        assert resolver.report.circuit_skips == 11
+        assert client.report.circuit_skips == 11
 
     # a full outage: every kind here actually fails the request
     # ("latency" would merely slow it down and then succeed)

@@ -147,6 +147,18 @@ class TestSyncEndpoint:
         ).status == 400
         assert app.handle("POST", "/api/registry/sync", {}).status == 400
 
+    @pytest.mark.parametrize("peer, fragment", [
+        ("https://127.0.0.1:9", "scheme"),   # the client speaks http only
+        ("http://", "host"),
+        ("http://127.0.0.1:notaport", "port"),
+        ("", "empty"),
+    ])
+    def test_every_refused_peer_answers_json(self, app, peer, fragment):
+        response = app.handle("POST", "/api/registry/sync", {"peer": peer})
+        assert response.status == 400
+        assert response.content_type == "application/json"
+        assert fragment in json.loads(response.body)["error"]
+
     def test_unreachable_peer_is_502(self, app):
         response = app.handle(
             "POST", "/api/registry/sync", {"peer": "http://127.0.0.1:1"}

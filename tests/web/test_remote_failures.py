@@ -12,9 +12,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.errors import RemoteError
+from repro.errors import RegistryError, RemoteError
 from repro.library.catalog import Library
-from repro.web.remote import ModelResolver, RemoteLibraryClient
+from repro.registry.resolve import RegistryResolver
+from repro.web.remote import RemoteLibraryClient
 
 
 class _MisbehavingHandler(BaseHTTPRequestHandler):
@@ -103,9 +104,13 @@ class TestRogueServers:
     def test_resolver_reports_all_failures(self, rogue_server):
         responses, base = rogue_server
         responses["/api/model"] = (500, "down")
-        resolver = ModelResolver(Library("local"), [RemoteLibraryClient(base)])
-        with pytest.raises(RemoteError, match="cannot resolve"):
-            resolver.resolve("sram")
+        resolver = RegistryResolver(
+            Library("local"), [RemoteLibraryClient(base)]
+        )
+        with pytest.raises(
+            RegistryError, match=r"cannot resolve.*remote\(http://.*\)=failed"
+        ):
+            resolver.resolve_strict("sram")
 
     def test_payload_with_instructions_is_just_data(self, rogue_server):
         """A hostile payload containing 'instructions' decodes into an

@@ -259,19 +259,8 @@ class TestResolutionReport:
 
     def test_degraded_flag(self):
         clean = ResolutionReport()
-        clean.record("local_hit", "local", "sram")
         clean.record("fetched", "http://mit", "mult")
         clean.record("cache_hit", "http://mit", "mult")
         assert not clean.degraded
         clean.record("retry", "http://mit", "mult")
         assert clean.degraded
-
-    def test_merged_into_accumulates(self):
-        per_call = ResolutionReport()
-        per_call.record("fetched", "http://mit", "sram")
-        total = ResolutionReport()
-        per_call.merged_into(total)
-        per_call2 = ResolutionReport()
-        per_call2.record("retry", "http://mit", "mult")
-        per_call2.merged_into(total)
-        assert len(total.events) == 2

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.library.catalog import Library
+from repro.registry.resolve import RegistryResolver
 from repro.web.client import Browser, Page
-from repro.web.remote import ModelResolver, RemoteLibraryClient, federate
+from repro.web.remote import RemoteLibraryClient, federate
 from repro.web.server import PowerPlayServer
-from repro.errors import RemoteError
+from repro.errors import RegistryError, RemoteError
 
 
 @pytest.fixture(scope="module")
@@ -136,28 +137,90 @@ class TestResolver:
         local.add(
             LibraryEntry("sram", ModelSet(power=FixedPowerModel("sram", 5.0)))
         )
-        resolver = ModelResolver(local, [RemoteLibraryClient(server.base_url)])
-        assert resolver.resolve("sram").models.power.power({}) == 5.0
+        resolver = RegistryResolver(
+            local, [RemoteLibraryClient(server.base_url)]
+        )
+        assert resolver.resolve_strict("sram").models.power.power({}) == 5.0
 
     def test_falls_back_to_remote(self, server):
-        resolver = ModelResolver(
-            Library("local"), [RemoteLibraryClient(server.base_url)]
-        )
-        entry = resolver.resolve("multiplier")
+        client = RemoteLibraryClient(server.base_url)
+        resolver = RegistryResolver(Library("local"), [client])
+        entry = resolver.resolve_strict("multiplier")
         assert entry.origin == server.base_url
-        assert resolver.total_remote_requests() >= 1
+        assert client.requests_made >= 1
 
     def test_unresolvable(self, server):
-        resolver = ModelResolver(
+        resolver = RegistryResolver(
             Library("local"), [RemoteLibraryClient(server.base_url)]
         )
-        with pytest.raises(RemoteError, match="cannot resolve"):
-            resolver.resolve("ghost")
+        with pytest.raises(RegistryError, match="cannot resolve"):
+            resolver.resolve_strict("ghost")
+
+    def test_outcome_is_each_fetchs_own(self):
+        """A live fetch stays live when another thread's stale serve
+        through the same client lands while it is in flight."""
+        import json
+        import threading
+
+        from repro.core.model import FixedPowerModel, ModelSet
+        from repro.errors import TransientRemoteError
+        from repro.library.catalog import LibraryEntry
+        from repro.web.resilience import RetryPolicy
+
+        sram_in_flight = threading.Event()
+        stale_served = threading.Event()
+
+        class Provider:
+            """``/api/model`` that holds ``sram`` until the stale serve
+            has landed, and whose ``multiplier`` can go down."""
+
+            multiplier_up = True
+
+            def get(self, path):
+                name = path.rsplit("=", 1)[-1]
+                if name == "multiplier" and not self.multiplier_up:
+                    raise TransientRemoteError("multiplier host is down")
+                if name == "sram":
+                    sram_in_flight.set()
+                    assert stale_served.wait(10)
+                model = ModelSet(power=FixedPowerModel(name, 1.0))
+                return Page(path, 200,
+                            json.dumps(LibraryEntry(name, model).to_payload()))
+
+        now = [0.0]
+        client = RemoteLibraryClient(
+            "http://mit.example", retry_policy=RetryPolicy(max_attempts=1),
+            cache_ttl=60.0, clock=lambda: now[0],
+        )
+        client._browser = provider = Provider()
+        client.fetch_model("multiplier")
+        now[0] = 120.0                      # multiplier's copy is stale
+        provider.multiplier_up = False
+        resolver = RegistryResolver(Library("local"), [client])
+        results = []
+        fetch = threading.Thread(
+            target=lambda: results.append(resolver.resolve("sram"))
+        )
+        fetch.start()
+        try:
+            assert sram_in_flight.wait(10)
+            assert client.fetch_model("multiplier").name == "multiplier"
+            assert client.report.stale_serves == 1
+        finally:
+            stale_served.set()
+            fetch.join(10)
+        assert not fetch.is_alive()
+        (entry, report), = results
+        assert entry.name == "sram"
+        assert report.outcome == "live"
+        assert report.steps[-1]["result"] == "live"
+        assert resolver.health_counts() == {"live": 1}
 
     def test_no_remotes(self):
-        resolver = ModelResolver(Library("local"))
-        with pytest.raises(RemoteError, match="no remotes"):
-            resolver.resolve("anything")
+        resolver = RegistryResolver(Library("local"))
+        # the chain tried only the local library
+        with pytest.raises(RegistryError, match=r"'anything': local\(local\)=miss$"):
+            resolver.resolve_strict("anything")
 
 
 class TestTwoServers:
