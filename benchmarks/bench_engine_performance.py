@@ -3,11 +3,9 @@
 The paper's usability claims rest on the spreadsheet being fast: form
 feedback is immediate and PLAY on a whole system is interactive.  These
 benches pin that down on synthetic designs much bigger than the paper's
-(hundreds of rows, thousands of cells) and check that the incremental
-recalculation path does asymptotically less work than a full pass.
+(hundreds of rows and hierarchy levels) and check that an edit through
+the design spreadsheet recomputes only the row it touched.
 """
-
-import pytest
 
 from conftest import banner
 
@@ -16,7 +14,6 @@ from repro.core.estimator import evaluate_power
 from repro.core.expressions import compile_expression as E
 from repro.core.model import CapacitiveTerm, TemplatePowerModel
 from repro.core.parameters import Parameter
-from repro.core.sheet import Sheet
 from repro.core.sheetbridge import DesignSheet
 
 ADDER = TemplatePowerModel(
@@ -73,25 +70,26 @@ def test_deep_hierarchy(benchmark):
 
 
 def test_incremental_recalc_beats_full(benchmark):
-    """Editing one cell must not recompute the whole sheet."""
-    sheet = Sheet("wide")
-    for index in range(500):
-        sheet.set(f"c{index:03d}", float(index))
-        sheet.set(f"d{index:03d}", f"c{index:03d} * 2 + 1")
-    sheet.recalculate()
+    """Editing one row must not recompute the whole design."""
+    bridge = DesignSheet(big_design(500))
+    _ = bridge.total_power  # settle
+    counter = {"n": 0}
 
     def edit_one():
-        sheet.set("c250", 999.0)
-        return sheet["d250"]
+        counter["n"] += 1
+        bridge.set_parameter("row250.bitwidth", 8 + counter["n"] % 24)
+        return bridge.row_power("row250")
 
     value = benchmark(edit_one)
-    assert value == pytest.approx(999.0 * 2 + 1)
+    assert value == evaluate_power(bridge.design)["row250"].power
 
-    # measure work directly: dirty-set size after a single edit
-    sheet.recalculate()
-    sheet.set("c100", 5.0)
-    assert len(sheet._dirty) == 2  # the cell and its one dependent
-    print("\nsingle edit dirties 2 of 1000 cells — cone-of-influence "
+    # measure work directly: rows the live plan recomputes for one edit
+    (entry,) = bridge.cache._entries.values()
+    misses = entry.plan.misses
+    bridge.set_parameter("row100.bitwidth", 5)
+    _ = bridge.total_power
+    assert entry.plan.misses - misses == 1  # the edited row alone
+    print("\nsingle row edit recomputes 1 of 500 rows — cone-of-influence "
           "recalculation")
 
 

@@ -5,8 +5,8 @@ exploration and allows the study of the impact of parameter variations"
 — this example drives that surface directly (no web browser):
 
 * every global and row parameter is a writable cell;
-* every row's power is a bound cell, recomputed only when something in
-  its dependency cone changes (one hierarchical evaluation per edit);
+* every row's power is a cell read from the design's live plan, which
+  an edit recomputes once, and only in the rows the edit dirtied;
 * user-defined derived cells ("any parameter can be expressed as a
   function of these parameters"): battery current, frame energy, the
   share of the budget one block owns.
@@ -19,14 +19,20 @@ from repro.core.units import format_quantity
 from repro.designs.luminance import build_figure3_design
 
 
+#: derived cells the designer types into the sheet, with display units
+DERIVED = {
+    "energy_per_frame": ("P.total / 60", "J"),     # per frame at 60 Hz
+    "battery_current": ("P.total / 1.5", "A"),     # from the 1.5 V rail
+    "lut_share": ("P.lut / P.total", ""),          # the block to optimize first
+}
+
+
 def show(bridge: DesignSheet, label: str) -> None:
     print(f"\n-- {label} --")
     values = bridge.values()
     for name in sorted(values):
-        if name.startswith("P.") or name in (
-            "battery_current", "energy_per_frame", "lut_share",
-        ):
-            unit = "W" if name.startswith("P.") else ""
+        if name.startswith("P.") or name in DERIVED:
+            unit = "W" if name.startswith("P.") else DERIVED[name][1]
             print(f"  {name:22s} {format_quantity(values[name], unit)}")
 
 
@@ -34,13 +40,8 @@ def main() -> None:
     design = build_figure3_design()
     bridge = DesignSheet(design)
 
-    # derived cells the designer types into the sheet
-    bridge.add_derived("energy_per_frame", "P.total / 60", unit="J",
-                       doc="per displayed frame at 60 Hz")
-    bridge.add_derived("battery_current", "P.total / 1.5", unit="A",
-                       doc="draw from the 1.5 V rail")
-    bridge.add_derived("lut_share", "P.lut / P.total",
-                       doc="the block to optimize first")
+    for name, (formula, _unit) in DERIVED.items():
+        bridge.add_derived(name, formula)
 
     show(bridge, "nominal (1.5 V)")
     print(f"\n  evaluations so far: {bridge.evaluations} "

@@ -31,7 +31,6 @@ from .core import (
     ParameterScope,
     PowerModel,
     PowerReport,
-    Sheet,
     StaticTerm,
     TemplatePowerModel,
     compare,
@@ -54,7 +53,6 @@ __all__ = [
     "ParameterScope",
     "PowerModel",
     "PowerReport",
-    "Sheet",
     "StaticTerm",
     "TemplatePowerModel",
     "compare",

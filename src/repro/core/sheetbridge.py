@@ -1,147 +1,154 @@
-"""Bridging designs into the spreadsheet engine.
+"""A design as a live spreadsheet.
 
-The paper's UI *is* a spreadsheet; internally the design hierarchy and
-the cell engine are separate (designs know models, sheets know
-formulas).  :func:`design_sheet` fuses them: a :class:`~repro.core.sheet
-.Sheet` whose cells are
+PowerPlay presents the design under exploration as "a spread-sheet-like
+work sheet" in which "any parameter can be expressed as a function of
+these parameters".  :class:`DesignSheet` is that sheet as named cells:
 
-* one writable cell per global parameter (``g.VDD`` ...);
-* one writable cell per row-local parameter (``<row>.<param>``),
-  excluding formula-valued parameters (those stay owned by the scope so
-  their dependencies keep working);
-* one *bound* cell per row's power (``P.<row>``), recomputed only when
-  a parameter in its dependency cone changes — incremental PLAY;
-* a ``P.total`` cell summing the rows;
-* user-added derived cells ("any parameter can be expressed as a
-  function of these parameters"): energy per frame, battery current,
-  whatever the exploration needs — they recalculate with everything
-  else.
+* ``g.<name>`` and ``<row>.<name>``: one writable cell per float-valued
+  global and row-local parameter.  Formula-valued parameters stay owned
+  by their scope, so their dependencies keep working;
+* ``P.<row>`` and ``P.total``: each row's power and the design's total,
+  read from one report of the design's live plan
+  (:class:`~repro.core.evalcache.EvaluationCache`), so they are the very
+  numbers the ``/design`` page shows.  An edit recomputes only the rows
+  it dirtied;
+* user-added derived cells (energy per frame, battery current): an
+  ordered list of formulas, each over the cells defined before it, so
+  no cycle can form.
 
-Writes to the parameter cells push straight into the design scopes, so
-the sheet and the design can never disagree.
+Parameter cells read and write the design scopes themselves, so the
+sheet and the design cannot disagree, whichever of the two is edited.
+
+>>> from repro.core.design import Design
+>>> from repro.core.model import ExpressionPowerModel
+>>> design = Design("demo")
+>>> design.scope.set("VDD", 1.5)
+>>> bus = ExpressionPowerModel("bus", "C * VDD^2 * 1M")
+>>> _ = design.add("bus", bus, params={"C": 2e-12})
+>>> bridge = DesignSheet(design)
+>>> bridge.add_derived("current", "P.total / g.VDD")
+>>> round(bridge.total_power * 1e6, 6)
+4.5
+>>> bridge.set_parameter("g.VDD", 3.0)
+>>> round(bridge["current"] * 1e6, 6)
+6.0
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..errors import SheetError
+from ..errors import EvaluationError, ParameterError, SheetError
 from .design import Design, SubDesign
-from .estimator import evaluate_power
-from .expressions import Expression
-from .parameters import ParameterScope
-from .sheet import Sheet
+from .evalcache import EvaluationCache
+from .expressions import Expression, compile_expression
+from .parameters import ParameterScope, check_name
 
 
 class DesignSheet:
-    """A Sheet view over a Design.
-
-    >>> bridge = DesignSheet(design)
-    >>> bridge.sheet["P.total"]            # evaluate
-    >>> bridge.set_parameter("g.VDD", 1.1) # edit + auto-invalidate
-    >>> bridge.sheet["P.total"]            # only dirty rows recompute
-    """
+    """A Design seen as spreadsheet cells (see module docstring)."""
 
     GLOBAL_PREFIX = "g."
     POWER_PREFIX = "P."
     TOTAL_CELL = "P.total"
 
-    def __init__(self, design: Design, name: Optional[str] = None):
+    def __init__(self, design: Design):
         self.design = design
-        self.sheet = Sheet(name or f"{design.name}_sheet")
-        #: cell name -> (scope, parameter name) for writable cells
-        self._bindings: Dict[str, Tuple[ParameterScope, str]] = {}
-        #: one hierarchical evaluation is shared by every row's power
-        #: cell within a recalculation pass; edits invalidate it
-        self._report = None
-        self.evaluations = 0  # recomputation counter (observable in tests)
-        self._build()
+        #: the design's live plan: every read takes one power report here
+        self.cache = EvaluationCache(maxsize=1)
+        #: derived cell name -> formula, in the order they were added
+        self._derived: Dict[str, Expression] = {}
 
-    # -- construction -----------------------------------------------------
+    @property
+    def evaluations(self) -> int:
+        """Power reports computed rather than served unchanged."""
+        return self.cache.misses
 
-    def _build(self) -> None:
-        global_cells: List[str] = []
-        for parameter in self.design.scope.local_names():
-            raw = self.design.scope.raw(parameter)
-            if isinstance(raw, Expression):
-                continue
-            cell = f"{self.GLOBAL_PREFIX}{parameter}"
-            self.sheet.set(cell, raw)
-            self._bindings[cell] = (self.design.scope, parameter)
-            global_cells.append(cell)
+    def _parameters(self) -> Dict[str, Tuple[ParameterScope, str]]:
+        """Writable cells, each mapped to its ``(scope, name)``."""
+        scopes = [(self.GLOBAL_PREFIX, self.design.scope)]
+        scopes += [(f"{row.name}.", row.scope) for row in self.design
+                   if not isinstance(row, SubDesign)]
+        return {
+            prefix + name: (scope, name)
+            for prefix, scope in scopes
+            for name in scope.local_names()
+            if isinstance(scope.raw(name), float)
+        }
 
-        row_cells: List[str] = []
-        for row in self.design:
-            parameter_cells: List[str] = []
-            if not isinstance(row, SubDesign):
-                for parameter in row.scope.local_names():
-                    raw = row.scope.raw(parameter)
-                    if isinstance(raw, Expression):
-                        continue
-                    cell = f"{row.name}.{parameter}"
-                    self.sheet.set(cell, raw)
-                    self._bindings[cell] = (row.scope, parameter)
-                    parameter_cells.append(cell)
-            power_cell = f"{self.POWER_PREFIX}{row.name}"
-            self.sheet.bind(
-                power_cell,
-                self._power_of(row.name),
-                depends_on=tuple(parameter_cells) + tuple(global_cells),
-                unit="W",
-                doc=f"evaluated power of row {row.name!r}",
-            )
-            row_cells.append(power_cell)
-        self.sheet.set(
-            self.TOTAL_CELL,
-            " + ".join(row_cells) if row_cells else "0",
-            unit="W",
-            doc="design total (PLAY)",
-        )
+    def names(self) -> List[str]:
+        """Parameter cells, row powers, the total, then derived cells."""
+        powers = [self.POWER_PREFIX + row.name for row in self.design]
+        return [*self._parameters(), *powers, self.TOTAL_CELL, *self._derived]
 
-    def _shared_report(self):
-        if self._report is None:
-            self._report = evaluate_power(self.design)
-            self.evaluations += 1
-        return self._report
-
-    def _power_of(self, row_name: str):
-        def compute() -> float:
-            return self._shared_report()[row_name].power
-
-        return compute
+    def __contains__(self, name: object) -> bool:
+        return name in self.names()
 
     # -- edits ------------------------------------------------------------
 
     def set_parameter(self, cell: str, value: float) -> None:
-        """Write a parameter cell: updates sheet AND design scope."""
-        binding = self._bindings.get(cell)
-        if binding is None:
+        """Write a parameter cell into its design scope."""
+        parameters = self._parameters()
+        if cell not in parameters:
             raise SheetError(
                 f"{cell!r} is not a writable parameter cell "
-                f"(writable: {sorted(self._bindings)})"
+                f"(writable: {sorted(parameters)})"
             )
-        scope, parameter = binding
-        scope.set(parameter, value)
-        self._report = None  # next power read re-evaluates once
-        self.sheet.set(cell, float(scope.resolve(parameter)))
+        scope, name = parameters[cell]
+        scope.set(name, value)
 
-    def add_derived(self, name: str, formula: str, unit: str = "", doc: str = "") -> None:
-        """Add a user cell computed from any existing cells."""
-        self.sheet.set(name, formula, unit=unit, doc=doc)
+    def add_derived(self, name: str, formula: str) -> None:
+        """Add a cell computed from the cells defined before it."""
+        try:
+            check_name(name)
+        except ParameterError as exc:
+            raise SheetError(f"invalid cell name {name!r}") from exc
+        names = self.names()
+        if name in names:
+            raise SheetError(f"{name!r} is already a cell")
+        expression = compile_expression(formula)
+        unknown = sorted(expression.variables - set(names))
+        if unknown:
+            raise SheetError(
+                f"cell {name!r} reads {', '.join(unknown)}, "
+                "which no earlier cell defines"
+            )
+        self._derived[name] = expression
 
-    # -- reads ----------------------------------------------------------------
+    # -- reads ------------------------------------------------------------
+
+    def _evaluate(self) -> Tuple[Dict[str, float], Dict[str, EvaluationError]]:
+        """Every cell's value, and each failed derived cell's error."""
+        values = {cell: scope.raw(name)
+                  for cell, (scope, name) in self._parameters().items()}
+        report = self.cache.power(self.design)
+        for row in report.children:
+            values[self.POWER_PREFIX + row.name] = row.power
+        values[self.TOTAL_CELL] = report.power
+        errors: Dict[str, EvaluationError] = {}
+        for name, formula in self._derived.items():
+            try:
+                values[name] = formula.evaluate(values)
+            except EvaluationError as exc:
+                errors[name] = exc
+        return values, errors
+
+    def values(self) -> Dict[str, float]:
+        """Every cell's value, leaving out each derived cell that fails
+        and so every derived cell that reads one."""
+        return self._evaluate()[0]
+
+    def __getitem__(self, name: str) -> float:
+        values, errors = self._evaluate()
+        if name in errors:
+            raise EvaluationError(f"cell {name!r}: {errors[name]}")
+        if name not in values:
+            raise SheetError(f"no cell named {name!r}")
+        return values[name]
 
     @property
     def total_power(self) -> float:
-        return self.sheet[self.TOTAL_CELL]
+        return self[self.TOTAL_CELL]
 
     def row_power(self, row_name: str) -> float:
-        return self.sheet[f"{self.POWER_PREFIX}{row_name}"]
-
-    def values(self) -> Dict[str, float]:
-        return self.sheet.values()
-
-
-def design_sheet(design: Design, name: Optional[str] = None) -> DesignSheet:
-    """Convenience constructor mirroring the paper's workflow verb."""
-    return DesignSheet(design, name)
+        return self[self.POWER_PREFIX + row_name]

@@ -50,17 +50,6 @@ class SheetError(PowerPlayError):
     """Spreadsheet structural error (unknown cell, duplicate cell)."""
 
 
-class CycleError(SheetError):
-    """A dependency cycle was found among spreadsheet cells.
-
-    ``cycle`` lists the cell names participating in the cycle, in order.
-    """
-
-    def __init__(self, cycle):
-        self.cycle = list(cycle)
-        super().__init__("dependency cycle: " + " -> ".join(self.cycle))
-
-
 class ModelError(PowerPlayError):
     """A power/area/timing model was misconfigured or misapplied."""
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -466,10 +466,6 @@ class ParameterSpace:
             overrides[couple.target] = _column(couple.expression, values,
                                                len(indices))
         return values, overrides
-
-    def iter_points(self) -> Iterator[Dict[str, object]]:
-        for index in range(self._total):
-            yield self.point(index)
 
     def chunks(self, chunk_size: int) -> List[Tuple[int, int]]:
         """Shard the space into ``[start, stop)`` index ranges."""

@@ -245,9 +245,6 @@ class StructuredLogger:
     def child(self, suffix: str) -> "StructuredLogger":
         return get_logger(f"{self.component}.{suffix}")
 
-    def enabled_for(self, level: int) -> bool:
-        return STATE.enabled and level >= STATE.log_level
-
     def log(self, level: int, event: str, **fields: object) -> None:
         if not STATE.enabled or level < STATE.log_level:
             return

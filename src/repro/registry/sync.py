@@ -24,7 +24,6 @@ through this module.
 from __future__ import annotations
 
 import json
-import time
 import urllib.parse
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -112,7 +111,6 @@ class RegistrySyncClient:
         timeout: float = 10.0,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        clock: Callable[[], float] = time.monotonic,
     ):
         self.base_url = base_url.rstrip("/")
         self.retry_policy = retry_policy or RetryPolicy()
@@ -121,7 +119,6 @@ class RegistrySyncClient:
         )
         self._browser = Browser(self.base_url, timeout=timeout)
         self.requests_made = 0
-        self.clock = clock
 
     def _guarded(self, fn: Callable[[], object], target: str) -> object:
         """One registry operation through breaker + bounded retries,

@@ -1023,20 +1023,6 @@ class Application:
                 f"{key} must be a whole number, got {text!r}"
             ) from None
 
-    @staticmethod
-    def _sweep_float(
-        data: Mapping[str, str], key: str, default: float
-    ) -> float:
-        text = (data.get(key) or "").strip()
-        if not text:
-            return default
-        try:
-            return float(text)
-        except ValueError:
-            raise ExploreError(
-                f"{key} must be a number, got {text!r}"
-            ) from None
-
     def _build_job(self, user: str, session, data: Mapping[str, str]):
         """Validate the sweep form and persist a pending job.
 

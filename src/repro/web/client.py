@@ -165,9 +165,15 @@ class Browser:
         )
 
     def get_json(self, path: str) -> object:
+        """GET a JSON resource.  A 5xx raises
+        :class:`~repro.errors.TransientRemoteError`, which a retry policy
+        retries; any other non-200 status, or a body that is not JSON,
+        raises :class:`~repro.errors.RemoteError`."""
         import json
 
         page = self._request("GET", path)
+        if page.status >= 500:
+            raise TransientRemoteError(f"GET {path} returned {page.status}")
         if page.status != 200:
             raise RemoteError(f"GET {path} returned {page.status}")
         try:
@@ -190,9 +196,6 @@ class Browser:
 
     def login(self, user: str) -> Page:
         return self.post("/login", {"user": user})
-
-    def open_cell(self, user: str, name: str) -> Page:
-        return self.get(f"/cell?user={user}&name={name}")
 
     def compute_cell(
         self, user: str, name: str, parameters: Mapping[str, object]

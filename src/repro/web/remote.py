@@ -217,9 +217,6 @@ class RemoteLibraryClient:
             sp.set(outcome="fetched")
             return entry, "live"
 
-    def clear_cache(self) -> None:
-        self._cache.clear()
-
 
 @dataclass
 class FederationReport:

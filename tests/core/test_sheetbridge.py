@@ -1,14 +1,19 @@
-"""The Design <-> Sheet bridge."""
+"""The design spreadsheet: a Design seen as live cells."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.design import Design
 from repro.core.estimator import evaluate_power
+from repro.core.evalcache import cached_evaluate_power
 from repro.core.expressions import compile_expression as E
 from repro.core.model import CapacitiveTerm, TemplatePowerModel
 from repro.core.parameters import Parameter
-from repro.core.sheetbridge import DesignSheet, design_sheet
-from repro.errors import SheetError
+from repro.core.sheetbridge import DesignSheet
+from repro.designs.infopad import build_infopad
+from repro.designs.luminance import build_figure1_design, build_figure3_design
+from repro.errors import EvaluationError, SheetError
+from repro.models.converter import DCDCConverterModel
 
 ADDER = TemplatePowerModel(
     "adder",
@@ -26,10 +31,14 @@ def make_design():
     return design
 
 
+def power_cells(values):
+    return {name: value for name, value in values.items() if name.startswith("P.")}
+
+
 class TestConstruction:
     def test_cells_created(self):
-        bridge = design_sheet(make_design())
-        names = set(bridge.sheet.names())
+        bridge = DesignSheet(make_design())
+        names = set(bridge.names())
         assert {"g.VDD", "g.f", "alu.bitwidth", "acc.bitwidth",
                 "P.alu", "P.acc", "P.total"} <= names
 
@@ -51,7 +60,7 @@ class TestConstruction:
         design.row("alu").set("f", "g_rate / 4")
         design.scope.set("g_rate", 8e6)
         bridge = DesignSheet(design)
-        assert "alu.f" not in bridge.sheet
+        assert "alu.f" not in bridge
         # but the formula still feeds the evaluation
         assert bridge.row_power("alu") > 0
 
@@ -78,26 +87,11 @@ class TestEdits:
         design = make_design()
         bridge = DesignSheet(design)
         _ = bridge.total_power
-        calls = {"alu": 0, "acc": 0}
-        original = evaluate_power
-
-        # count recomputation via fresh bound cells
-        bridge.sheet.bind(
-            "probe.alu",
-            lambda: calls.__setitem__("alu", calls["alu"] + 1) or 0.0,
-            depends_on=("alu.bitwidth",),
-        )
-        bridge.sheet.bind(
-            "probe.acc",
-            lambda: calls.__setitem__("acc", calls["acc"] + 1) or 0.0,
-            depends_on=("acc.bitwidth",),
-        )
-        bridge.sheet.recalculate()
-        calls["alu"] = calls["acc"] = 0
+        (entry,) = bridge.cache._entries.values()
+        misses = entry.plan.misses
         bridge.set_parameter("alu.bitwidth", 24)
-        bridge.sheet.recalculate()
-        assert calls["alu"] == 1
-        assert calls["acc"] == 0
+        _ = bridge.total_power
+        assert entry.plan.misses - misses == 1  # alu alone
 
     def test_unknown_cell_rejected(self):
         bridge = DesignSheet(make_design())
@@ -105,6 +99,43 @@ class TestEdits:
             bridge.set_parameter("P.total", 1.0)
         with pytest.raises(SheetError):
             bridge.set_parameter("ghost", 1.0)
+        with pytest.raises(SheetError, match="no cell"):
+            _ = bridge["ghost"]
+
+    def test_direct_design_edit_is_seen(self):
+        """The cells read the design itself, not a copy taken earlier."""
+        design = build_figure3_design()
+        bridge = DesignSheet(design)
+        _ = bridge.total_power
+        design.scope.set("VDD", 3.0)
+        assert bridge.total_power == evaluate_power(design).power
+        assert bridge["g.VDD"] == 3.0
+
+
+#: each paper design with two edits: a global and a row parameter
+PAPER_DESIGNS = {
+    "fig1": (build_figure1_design, [("g.VDD", 1.1), ("lut.words", 256)]),
+    "fig3": (build_figure3_design, [("g.VDD", 1.1), ("lut.words", 256)]),
+    "infopad": (build_infopad, [("g.VDD2", 1.1), ("radio_subsystem.tx_duty", 0.5)]),
+}
+
+
+class TestSameNumbersAsTheDesignPage:
+    @pytest.mark.parametrize("label", sorted(PAPER_DESIGNS))
+    def test_power_cells_bit_for_bit(self, label):
+        """Every ``P.*`` cell is the estimator's number, before and after
+        edits.  InfoPad's converter row is fed by the rows edited."""
+        build, edits = PAPER_DESIGNS[label]
+        design = build()
+        bridge = DesignSheet(design)
+        for cell, value in [(None, None)] + edits:
+            if cell is not None:
+                bridge.set_parameter(cell, value)
+            cells = power_cells(bridge.values())
+            for report in (evaluate_power(design), cached_evaluate_power(design)):
+                expected = {f"P.{row.name}": row.power for row in report.children}
+                expected["P.total"] = report.power
+                assert cells == expected
 
 
 class TestDerivedCells:
@@ -113,11 +144,8 @@ class TestDerivedCells:
         parameters' — e.g. energy per frame from total power."""
         design = make_design()
         bridge = DesignSheet(design)
-        bridge.add_derived(
-            "energy_per_frame", "P.total / 60", unit="J",
-            doc="total power over the 60 Hz frame rate",
-        )
-        assert bridge.sheet["energy_per_frame"] == pytest.approx(
+        bridge.add_derived("energy_per_frame", "P.total / 60")
+        assert bridge["energy_per_frame"] == pytest.approx(
             bridge.total_power / 60
         )
 
@@ -125,18 +153,85 @@ class TestDerivedCells:
         design = make_design()
         bridge = DesignSheet(design)
         bridge.add_derived("budget_share", "P.alu / P.total")
-        before = bridge.sheet["budget_share"]
+        before = bridge["budget_share"]
         bridge.set_parameter("acc.bitwidth", 64)
-        after = bridge.sheet["budget_share"]
+        after = bridge["budget_share"]
         assert after < before
 
     def test_battery_current_cell(self):
         design = make_design()
         bridge = DesignSheet(design)
-        bridge.add_derived("battery_current", "P.total / 6.0", unit="A")
-        assert bridge.sheet["battery_current"] == pytest.approx(
+        bridge.add_derived("battery_current", "P.total / 6.0")
+        assert bridge["battery_current"] == pytest.approx(
             bridge.total_power / 6.0
         )
+
+    def test_chain_over_earlier_derived_cells(self):
+        bridge = DesignSheet(make_design())
+        bridge.add_derived("C", "2e-12")
+        bridge.add_derived("E", "C * g.VDD^2")
+        bridge.add_derived("P", "E * g.f")
+        assert bridge["P"] == pytest.approx(9e-6)
+        bridge.set_parameter("g.VDD", 3.0)
+        assert bridge["P"] == pytest.approx(36e-6)
+        assert bridge.names()[-3:] == ["C", "E", "P"]
+
+    @pytest.mark.parametrize("bad", ["", "1x", "a b", None])
+    def test_bad_names_refused(self, bad):
+        bridge = DesignSheet(make_design())
+        with pytest.raises(SheetError):
+            bridge.add_derived(bad, "1")
+        assert bridge.names() == DesignSheet(make_design()).names()
+
+    def test_reads_of_undefined_names_refused(self):
+        """Only earlier cells can be read, so no cycle can form."""
+        bridge = DesignSheet(make_design())
+        with pytest.raises(SheetError, match="'y' reads x"):
+            bridge.add_derived("y", "x * 2")
+        bridge.add_derived("a", "P.total")
+        with pytest.raises(SheetError, match="reads b"):
+            bridge.add_derived("c", "a + b")
+        assert "y" not in bridge and "c" not in bridge
+
+    @pytest.mark.parametrize(
+        "cell", ["P.total", "P.alu", "g.VDD", "alu.bitwidth", "share"])
+    def test_existing_cells_cannot_be_overwritten(self, cell):
+        design = make_design()
+        bridge = DesignSheet(design)
+        bridge.add_derived("share", "P.alu / P.total")
+        before = bridge.values()
+        with pytest.raises(SheetError, match="already a cell"):
+            bridge.add_derived(cell, "5")
+        assert bridge.values() == before
+        assert design.scope["VDD"] == 1.5
+
+    def test_self_reference_refused_and_the_sheet_stays_readable(self):
+        design = make_design()
+        bridge = DesignSheet(design)
+        with pytest.raises(SheetError):
+            bridge.add_derived("y", "y + 1")
+        assert "y" not in bridge
+        assert bridge.total_power == evaluate_power(design).power
+
+    def test_failing_cell_and_its_readers_left_out(self):
+        bridge = DesignSheet(make_design())
+        bridge.add_derived("a", "1 / 0")
+        bridge.add_derived("b", "a + 1")
+        bridge.add_derived("good", "P.total * 2")
+        values = bridge.values()
+        assert "a" not in values and "b" not in values
+        assert values["good"] == 2 * bridge.total_power
+        with pytest.raises(EvaluationError, match="division by zero"):
+            _ = bridge["a"]
+        with pytest.raises(EvaluationError, match="'b'"):
+            _ = bridge["b"]
+
+    def test_failing_cell_recovers_after_an_edit(self):
+        bridge = DesignSheet(make_design())
+        bridge.add_derived("inverse", "1 / (g.VDD - 1.5)")
+        assert "inverse" not in bridge.values()
+        bridge.set_parameter("g.VDD", 2.0)
+        assert bridge["inverse"] == 2.0
 
 
 class TestSubDesigns:
@@ -186,3 +281,43 @@ class TestSharedEvaluation:
         assert bridge.row_power("a") == pytest.approx(report["a"].power)
         assert bridge.row_power("b") == pytest.approx(report["b"].power)
         assert bridge.total_power == pytest.approx(report.power)
+
+
+#: derived cells over power, parameter and earlier derived cells
+DERIVED = {
+    "share": "P.alu / P.total",
+    "energy": "P.total / g.f",
+    "both": "share * energy + acc.bitwidth",
+}
+
+
+def sheet_with_derived(design):
+    bridge = DesignSheet(design)
+    for name, formula in DERIVED.items():
+        bridge.add_derived(name, formula)
+    return bridge
+
+
+class TestIncrementalEqualsFresh:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["g.VDD", "g.f", "alu.bitwidth", "acc.bitwidth"]),
+                st.floats(min_value=0.5, max_value=64, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_property_incremental_matches_fresh(self, edits):
+        """After any edits, every cell equals a freshly built sheet's,
+        including a converter row fed by the edited rows."""
+        design = make_design()
+        design.add("dcdc", DCDCConverterModel("dcdc", 0.85),
+                   power_feeds=["alu", "acc"])
+        bridge = sheet_with_derived(design)
+        _ = bridge.values()
+        for cell, value in edits:
+            bridge.set_parameter(cell, value)
+            assert bridge.values() == sheet_with_derived(design).values()

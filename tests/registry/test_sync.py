@@ -139,6 +139,16 @@ class TestSyncThroughChaos:
         assert len(local.store) == 4
         assert plan.flap_outages > 0  # the flap schedule really fired
 
+    def test_catalog_5xx_is_retried(self, tmp_path):
+        # a 500 is plausibly temporary: the retry policy gets a second try
+        plan = FaultPlan(script=["error_500", None])
+        with self._chaos_provider(tmp_path, plan) as server:
+            client = make_client(server.base_url, attempts=3)
+            catalog = client.fetch_catalog()
+        assert len(catalog) == 4
+        assert client.requests_made == 2
+        assert plan.injected_log[0][1] == "error_500"
+
     def test_unreachable_catalog_aborts_cleanly(self, local):
         with pytest.raises((RemoteError, OSError)):
             sync_from(local, make_client("http://127.0.0.1:1", attempts=1))

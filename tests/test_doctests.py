@@ -7,14 +7,13 @@ import pytest
 import repro.core.expressions
 import repro.core.model
 import repro.core.parameters
-import repro.core.sheet
 import repro.core.sheetbridge
 import repro.core.units
 
 MODULES = [
     repro.core.expressions,
     repro.core.model,
-    repro.core.sheet,
+    repro.core.sheetbridge,
     repro.core.units,
 ]
 
