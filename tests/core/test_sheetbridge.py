@@ -12,7 +12,7 @@ from repro.core.parameters import Parameter
 from repro.core.sheetbridge import DesignSheet
 from repro.designs.infopad import build_infopad
 from repro.designs.luminance import build_figure1_design, build_figure3_design
-from repro.errors import EvaluationError, SheetError
+from repro.errors import EvaluationError, ParameterError, ParseError, SheetError
 from repro.models.converter import DCDCConverterModel
 
 ADDER = TemplatePowerModel(
@@ -64,6 +64,29 @@ class TestConstruction:
         # but the formula still feeds the evaluation
         assert bridge.row_power("alu") > 0
 
+    def test_names_and_membership(self):
+        """Parameter cells, row powers, the total, then derived cells,
+        each named once; ``in`` and ``values()`` agree with ``names()``."""
+        bridge = DesignSheet(make_design())
+        bridge.add_derived("share", "P.alu / P.total")
+        names = bridge.names()
+        assert names == ["g.VDD", "g.f", "alu.bitwidth", "acc.bitwidth",
+                         "P.alu", "P.acc", "P.total", "share"]
+        assert all(name in bridge for name in names)
+        assert "ghost" not in bridge and 1 not in bridge
+        assert list(bridge.values()) == names
+
+    def test_subdesign_rows_have_no_parameter_cells(self):
+        child = Design("child")
+        child.add("x", ADDER, params={"bitwidth": 8})
+        parent = make_design()
+        parent.add_subdesign("child", child)
+        bridge = DesignSheet(parent)
+        assert "P.child" in bridge
+        assert not [name for name in bridge.names() if name.startswith("child.")]
+        with pytest.raises(SheetError, match="not a writable"):
+            bridge.set_parameter("child.bitwidth", 4)
+
 
 class TestEdits:
     def test_set_parameter_updates_both_sides(self):
@@ -102,6 +125,26 @@ class TestEdits:
         with pytest.raises(SheetError, match="no cell"):
             _ = bridge["ghost"]
 
+    @pytest.mark.parametrize("cell", ["g.VDD", "alu.bitwidth"])
+    def test_bad_value_refused_and_the_design_kept(self, cell):
+        design = make_design()
+        bridge = DesignSheet(design)
+        before = bridge.values()
+        with pytest.raises(ParameterError):
+            bridge.set_parameter(cell, object())
+        assert bridge.values() == before
+        assert design.scope["VDD"] == 1.5
+        assert design.row("alu").scope["bitwidth"] == 16.0
+
+    def test_read_without_an_edit_computes_nothing(self):
+        design = make_design()
+        bridge = DesignSheet(design)
+        bridge.add_derived("share", "P.alu / P.total")
+        _ = bridge.total_power
+        settled = bridge.evaluations
+        _ = bridge.values(), bridge["share"], bridge.row_power("acc")
+        assert bridge.evaluations == settled == 1
+
     def test_direct_design_edit_is_seen(self):
         """The cells read the design itself, not a copy taken earlier."""
         design = build_figure3_design()
@@ -110,6 +153,24 @@ class TestEdits:
         design.scope.set("VDD", 3.0)
         assert bridge.total_power == evaluate_power(design).power
         assert bridge["g.VDD"] == 3.0
+
+    def test_direct_row_edit_is_seen(self):
+        design = make_design()
+        bridge = DesignSheet(design)
+        _ = bridge.total_power
+        design.row("alu").set("bitwidth", 32)
+        assert bridge.row_power("alu") == evaluate_power(design)["alu"].power
+        assert bridge["alu.bitwidth"] == 32.0
+
+    def test_row_added_after_construction_gets_cells(self):
+        design = make_design()
+        bridge = DesignSheet(design)
+        _ = bridge.total_power
+        design.add("late", ADDER, params={"bitwidth": 4})
+        assert "late.bitwidth" in bridge and "P.late" in bridge
+        report = evaluate_power(design)
+        assert bridge.row_power("late") == report["late"].power
+        assert bridge.total_power == report.power
 
 
 #: each paper design with two edits: a global and a row parameter
@@ -166,6 +227,49 @@ class TestDerivedCells:
             bridge.total_power / 6.0
         )
 
+    def test_constant_cell(self):
+        bridge = DesignSheet(make_design())
+        bridge.add_derived("k", "3")
+        assert bridge["k"] == 3.0
+        bridge.set_parameter("g.VDD", 3.0)
+        assert bridge["k"] == 3.0
+
+    @pytest.mark.parametrize("text, value", [(" 42 ", 42.0), ("2M", 2e6)])
+    def test_number_text_is_a_constant(self, text, value):
+        bridge = DesignSheet(make_design())
+        bridge.add_derived("k", text)
+        assert bridge["k"] == value
+
+    def test_formula_functions(self):
+        bridge = DesignSheet(make_design())
+        bridge.add_derived("largest", "max(P.alu, P.acc)")
+        bridge.add_derived("root", "sqrt(g.VDD)")
+        assert bridge["largest"] == max(bridge.row_power("alu"),
+                                        bridge.row_power("acc"))
+        assert bridge["root"] == pytest.approx(1.5 ** 0.5)
+
+    def test_derived_cell_over_a_row_parameter(self):
+        bridge = DesignSheet(make_design())
+        bridge.add_derived("double_width", "alu.bitwidth * 2")
+        assert bridge["double_width"] == 32.0
+        bridge.set_parameter("alu.bitwidth", 24)
+        assert bridge["double_width"] == 48.0
+
+    def test_derived_cells_are_not_writable(self):
+        bridge = DesignSheet(make_design())
+        bridge.add_derived("share", "P.alu / P.total")
+        with pytest.raises(SheetError, match="not a writable"):
+            bridge.set_parameter("share", 1.0)
+        assert bridge["share"] == bridge.row_power("alu") / bridge.total_power
+
+    def test_syntax_error_refused_and_nothing_stored(self):
+        bridge = DesignSheet(make_design())
+        with pytest.raises(ParseError):
+            bridge.add_derived("x", "1 +")
+        assert "x" not in bridge
+        bridge.add_derived("x", "1")
+        assert bridge["x"] == 1.0
+
     def test_chain_over_earlier_derived_cells(self):
         bridge = DesignSheet(make_design())
         bridge.add_derived("C", "2e-12")
@@ -212,6 +316,15 @@ class TestDerivedCells:
             bridge.add_derived("y", "y + 1")
         assert "y" not in bridge
         assert bridge.total_power == evaluate_power(design).power
+
+    def test_mutual_reference_cannot_be_written(self):
+        """Closing a loop means redefining an earlier cell, which is refused."""
+        bridge = DesignSheet(make_design())
+        bridge.add_derived("a", "1")
+        bridge.add_derived("b", "a + 1")
+        with pytest.raises(SheetError, match="already a cell"):
+            bridge.add_derived("a", "b")
+        assert (bridge["a"], bridge["b"]) == (1.0, 2.0)
 
     def test_failing_cell_and_its_readers_left_out(self):
         bridge = DesignSheet(make_design())
