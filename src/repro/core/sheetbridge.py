@@ -18,6 +18,9 @@ these parameters".  :class:`DesignSheet` is that sheet as named cells:
 
 Parameter cells read and write the design scopes themselves, so the
 sheet and the design cannot disagree, whichever of the two is edited.
+Every cell name has one owner: a design in which two cells would share
+a name (a row named ``g``, ``P`` or ``total``) is refused by every read
+and write, with a :class:`~repro.errors.SheetError` that names the row.
 
 >>> from repro.core.design import Design
 >>> from repro.core.model import ExpressionPowerModel
@@ -64,22 +67,45 @@ class DesignSheet:
         """Power reports computed rather than served unchanged."""
         return self.cache.misses
 
-    def _parameters(self) -> Dict[str, Tuple[ParameterScope, str]]:
-        """Writable cells, each mapped to its ``(scope, name)``."""
-        scopes = [(self.GLOBAL_PREFIX, self.design.scope)]
-        scopes += [(f"{row.name}.", row.scope) for row in self.design
-                   if not isinstance(row, SubDesign)]
-        return {
-            prefix + name: (scope, name)
-            for prefix, scope in scopes
-            for name in scope.local_names()
-            if isinstance(scope.raw(name), float)
-        }
+    def _cells(self) -> Tuple[Dict[str, Tuple[ParameterScope, str]], List[str]]:
+        """Writable cells, each mapped to its ``(scope, name)``, and the
+        power cells.  Raises :class:`SheetError` when two cells would
+        share a name, so no cell is ever shadowed."""
+        owners = {self.TOTAL_CELL: "the design total"}
+        prefixes = {self.GLOBAL_PREFIX: "the global parameters",
+                    self.POWER_PREFIX: "the power cells"}
+
+        def claim(table: Dict[str, str], key: str, owner: str) -> str:
+            if key in table:
+                raise SheetError(
+                    f"{key!r} would name both {table[key]} and {owner}; "
+                    "rename the row"
+                )
+            table[key] = owner
+            return key
+
+        scopes = [(self.GLOBAL_PREFIX, self.design.scope, "the global")]
+        powers = []
+        for row in self.design:
+            owner = f"row {row.name!r}"
+            powers.append(claim(owners, self.POWER_PREFIX + row.name,
+                                f"the power of {owner}"))
+            if not isinstance(row, SubDesign):
+                prefix = claim(prefixes, f"{row.name}.", owner)
+                scopes.append((prefix, row.scope, owner))
+        parameters = {}
+        for prefix, scope, owner in scopes:
+            for name in scope.local_names():
+                if isinstance(scope.raw(name), float):
+                    cell = claim(owners, prefix + name,
+                                 f"{owner} parameter {name!r}")
+                    parameters[cell] = (scope, name)
+        return parameters, powers
 
     def names(self) -> List[str]:
         """Parameter cells, row powers, the total, then derived cells."""
-        powers = [self.POWER_PREFIX + row.name for row in self.design]
-        return [*self._parameters(), *powers, self.TOTAL_CELL, *self._derived]
+        parameters, powers = self._cells()
+        return [*parameters, *powers, self.TOTAL_CELL, *self._derived]
 
     def __contains__(self, name: object) -> bool:
         return name in self.names()
@@ -88,7 +114,7 @@ class DesignSheet:
 
     def set_parameter(self, cell: str, value: float) -> None:
         """Write a parameter cell into its design scope."""
-        parameters = self._parameters()
+        parameters = self._cells()[0]
         if cell not in parameters:
             raise SheetError(
                 f"{cell!r} is not a writable parameter cell "
@@ -120,7 +146,7 @@ class DesignSheet:
     def _evaluate(self) -> Tuple[Dict[str, float], Dict[str, EvaluationError]]:
         """Every cell's value, and each failed derived cell's error."""
         values = {cell: scope.raw(name)
-                  for cell, (scope, name) in self._parameters().items()}
+                  for cell, (scope, name) in self._cells()[0].items()}
         report = self.cache.power(self.design)
         for row in report.children:
             values[self.POWER_PREFIX + row.name] = row.power

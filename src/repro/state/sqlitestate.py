@@ -26,7 +26,9 @@ the contract:
 Connections are per-thread (SQLite connections are not thread-safe;
 WAL is explicitly multi-connection), with a generous busy timeout so
 multi-process fronts sharing one database degrade to brief waits, not
-errors.  Stdlib only.
+errors.  A thread that has ended leaves its connection behind; the
+next connection to open closes it, so a server that starts and ends
+handler threads holds one connection per live thread.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..errors import StateError
 from .backend import StateBackend
@@ -91,7 +93,7 @@ class SQLiteBackend(StateBackend):
         self.busy_timeout_s = busy_timeout_s
         self.clock = clock
         self._local = threading.local()
-        self._connections: List[sqlite3.Connection] = []
+        self._connections: Dict[threading.Thread, sqlite3.Connection] = {}
         self._connections_guard = threading.Lock()
         self._closed = False
         # open (and migrate) eagerly so a broken database fails the
@@ -112,9 +114,17 @@ class SQLiteBackend(StateBackend):
             raise StateError("SQLite backend is closed")
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            # check_same_thread=False so close() can close every
-            # thread's connection; each connection is still only
-            # *used* by the thread that created it
+            with self._connections_guard:
+                # close first: SQLite keeps a closed connection's file
+                # descriptor for the next open of the same database
+                ended = [thread for thread in self._connections
+                         if not thread.is_alive()]
+                for thread in ended:
+                    self._connections.pop(thread).close()
+            # check_same_thread=False so close(), and the next thread
+            # to open one, can close another thread's connection; each
+            # connection is still only *used* by the thread that
+            # created it
             connection = sqlite3.connect(
                 str(self.db_path),
                 timeout=self.busy_timeout_s,
@@ -128,7 +138,7 @@ class SQLiteBackend(StateBackend):
             )
             self._local.connection = connection
             with self._connections_guard:
-                self._connections.append(connection)
+                self._connections[threading.current_thread()] = connection
         return connection
 
     # -- documents ---------------------------------------------------------
@@ -273,8 +283,8 @@ class SQLiteBackend(StateBackend):
     def close(self) -> None:
         self._closed = True
         with self._connections_guard:
-            connections, self._connections = self._connections, []
-        for connection in connections:
+            connections, self._connections = self._connections, {}
+        for connection in connections.values():
             try:
                 connection.close()
             except sqlite3.Error:  # pragma: no cover - already closed

@@ -13,6 +13,7 @@ routes.  The three screens the paper shows:
 
 from __future__ import annotations
 
+from html import escape
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.design import Design, SubDesign
@@ -249,15 +250,22 @@ def cell_form_page(
     return H.page(f"{entry.name} — {user}", *body, nav=nav_for(user, auth))
 
 
-def _row_link(
-    user: str, design_name: str, row, report: PowerReport, auth: str = ""
-) -> H.Content:
-    if isinstance(row, SubDesign):
-        return H.link(
-            f"/design?{cred(user, auth)}&name={design_name}&path={row.name}",
-            row.name,
+def _sheet_fields(scope, prefix: str, size: int) -> str:
+    """A scope's own parameters as ``name=<input>`` fields; ``prefix``
+    is the field-name prefix, already escaped."""
+    fields = []
+    for name in scope.local_names():
+        shown = scope.raw(name)
+        if not isinstance(shown, float):  # a float's text needs no escaping
+            if isinstance(shown, Expression):
+                shown = shown.source
+            shown = escape(str(shown))
+        name = escape(str(name))
+        fields.append(
+            f'{name}=<input type="text" name="{prefix}{name}" '
+            f'value="{shown}" size="{size}"> '
         )
-    return H.escape(row.name)
+    return "".join(fields)
 
 
 def design_sheet_page(
@@ -269,94 +277,60 @@ def design_sheet_page(
     error: str = "",
     auth: str = "",
 ) -> str:
-    """The Figure 2 / Figure 5 spreadsheet."""
+    """The Figure 2 / Figure 5 spreadsheet.
+
+    Every PLAY returns this page, so it is written from f-string
+    fragments rather than the :mod:`~repro.web.html` helpers, with each
+    value escaped once (formatted numbers need none).
+    """
     design_name = design_name or design.name
     total = report.power
-    rows: List[List[H.Content]] = []
+    # every link on the page starts from this query
+    query = escape(f"{cred(user, auth)}&name={design_name}")
+    rows = []
     for row in design:
         child = report.child(row.name)
-        parameter_fields: List[H.Content] = []
-        for name in row.scope.local_names():
-            raw = row.scope.raw(name)
-            shown = raw.source if isinstance(raw, Expression) else raw
-            parameter_fields.append(
-                H.join(
-                    f"{name}=",
-                    H.text_input(f"p:{row.name}:{name}", shown, size=8),
-                    " ",
-                )
-            )
-        share = f"{100.0 * child.fraction_of(total):.1f}%"
+        name = escape(str(row.name))
+        cell = name
+        if isinstance(row, SubDesign):
+            cell = f'<a href="/design?{query}&amp;path={name}">{name}</a>'
         source = (
             "" if child.source in ("modeled", "hierarchy") else child.source
         )
         rows.append(
-            [
-                _row_link(user, design_name, row, child, auth),
-                H.join(*parameter_fields),
-                H.tag("span", format_eng(child.power, "W"), class_="num"),
-                share,
-                source,
-                row.doc,
-            ]
+            f"<tr><td>{cell}</td>"
+            f"<td>{_sheet_fields(row.scope, f'p:{name}:', 8)}</td>"
+            f'<td><span class="num">{format_eng(child.power, "W")}</span>'
+            f"</td><td>{100.0 * child.fraction_of(total):.1f}%</td>"
+            f"<td>{escape(str(source))}</td>"
+            f"<td>{escape(str(row.doc))}</td></tr>"
         )
-    global_fields: List[H.Content] = []
-    for name in design.scope.local_names():
-        raw = design.scope.raw(name)
-        shown = raw.source if isinstance(raw, Expression) else raw
-        global_fields.append(
-            H.join(f"{name}=", H.text_input(f"g:{name}", shown, size=10), " ")
-        )
-    body: List[H.Content] = []
-    if error:
-        body.append(H.tag("p", error, class_="error"))
-    body.append(
-        H.form(
-            "/design",
-            H.join(
-                auth_fields(user, auth),
-                H.hidden_input("name", design_name),
-                H.hidden_input("path", path),
-                H.heading("Global parameters", 2),
-                H.paragraph(H.join(*global_fields)),
-                H.table(
-                    rows,
-                    header=["Name", "Parameters", "Power", "Share",
-                            "Source", "Notes"],
-                    caption=f"{design.name} summary",
-                ),
-                H.paragraph(
-                    H.join(
-                        H.submit("PLAY"),
-                        H.Raw("&nbsp;"),
-                        H.tag(
-                            "b",
-                            f"Total: {format_eng(total, 'W')}"
-                            f"  ({format_quantity(total, 'W')})",
-                        ),
-                    )
-                ),
-            ),
-        )
-    )
-    body.append(
-        H.paragraph(
-            H.join(
-                H.link(
-                    f"/export/design?{cred(user, auth)}&name={design_name}",
-                    "Export design as JSON",
-                ),
-                H.Raw(" | "),
-                H.link(
-                    f"/design/analysis?{cred(user, auth)}&name={design_name}"
-                    + (f"&path={path}" if path else ""),
-                    "Area / timing analysis",
-                ),
-            )
-        )
+    hidden = '<input type="hidden" name="{}" value="{}">'.format
+    fields = hidden("user", escape(user))
+    if auth:
+        fields += hidden("auth", escape(auth))
+    fields += hidden("name", escape(str(design_name)))
+    fields += hidden("path", escape(path))
+    analysis = f"/design/analysis?{query}"
+    if path:
+        analysis += f"&amp;path={escape(path)}"
+    body = (
+        (f'<p class="error">{escape(error)}</p>' if error else "")
+        + f'<form action="/design" method="post">{fields}'
+        "<h2>Global parameters</h2>"
+        f"<p>{_sheet_fields(design.scope, 'g:', 10)}</p>"
+        '<table border="1" cellpadding="3">'
+        f"<caption>{escape(f'{design.name} summary')}</caption>"
+        "<tr><th>Name</th><th>Parameters</th><th>Power</th><th>Share</th>"
+        f"<th>Source</th><th>Notes</th></tr>{''.join(rows)}</table>"
+        '<p><input type="submit" value="PLAY">&nbsp;'
+        f"<b>Total: {format_eng(total, 'W')}"
+        f"  ({format_quantity(total, 'W')})</b></p></form>"
+        f'<p><a href="/export/design?{query}">Export design as JSON</a> | '
+        f'<a href="{analysis}">Area / timing analysis</a></p>'
     )
     title = design.name if not path else f"{design_name} / {design.name}"
-    return H.page(f"{title} — {user}", *body, nav=nav_for(user, auth))
+    return H.page(f"{title} — {user}", H.Raw(body), nav=nav_for(user, auth))
 
 
 def define_model_page(

@@ -15,13 +15,14 @@ the bound address.
 
 from __future__ import annotations
 
+import collections
 import ipaddress
 import itertools
 import socket
 import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -84,6 +85,15 @@ class _Handler(BaseHTTPRequestHandler):
     #: request body ceiling — a form post is a few hundred bytes; 1 MiB
     #: leaves generous headroom for design-JSON imports
     max_body_bytes: int = 1 << 20
+    #: seconds a connection may go without sending a byte before it is
+    #: dropped — a stalled request (or a preconnect that never sends
+    #: one) must not pin its handler thread; shorter than
+    #: :attr:`PowerPlayServer.drain_deadline`, so a stalled request
+    #: cannot outlast the drain
+    timeout: float = 3.0
+    #: the response leaves in one send when head and body fit this
+    #: buffer (flushed once per request); a larger body streams
+    wbufsize: int = 1 << 16
 
     #: transport-level log lines (http.server's per-request and error
     #: chatter) go through the structured logger, not raw stderr.  The
@@ -97,6 +107,24 @@ class _Handler(BaseHTTPRequestHandler):
             client=self.client_address[0],
             message=format % args,
         )
+
+    #: set once the request line has arrived: from then until
+    #: :meth:`finish` the connection counts as in flight
+    _in_flight = False
+
+    def parse_request(self) -> bool:
+        self._in_flight = True
+        self.server.request_started()
+        return super().parse_request()
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        except OSError:
+            pass  # the client is gone; its response cannot be delivered
+        finally:
+            if self._in_flight:
+                self.server.request_finished()
 
     def _send(self, response: Response) -> None:
         response.headers.setdefault(
@@ -202,30 +230,40 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(self._handle_safely("POST", form))
 
 
-class _SoakFriendlyHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer tuned for long soaks.
+class _SoakFriendlyHTTPServer(HTTPServer):
+    """An HTTP server whose handler threads outlive their connections.
 
-    The stock mixin keeps a reference to *every* request thread it ever
-    spawned when ``block_on_close`` is true, so a load test that issues
-    thousands of requests grows an unbounded thread list and then joins
-    it all at shutdown.  Request threads are daemons here anyway, so we
-    skip the tracking: memory stays flat across a soak and ``stop()``
-    returns promptly.
+    Each accepted connection goes to an idle handler thread; a new
+    daemon thread starts only when none is idle, so concurrency stays
+    unbounded while a closed loop of clients runs on a few threads.
+    (A thread per connection would cost a ``Thread.start()`` per
+    request, which holds the accept loop until the new thread runs.)
+    A thread that stays idle for :attr:`idle_thread_s` exits, and
+    :meth:`server_close` releases every idle one.  No list of past
+    threads is kept, so memory stays flat across a soak.
 
-    Instead of the thread list we keep a *count* of in-flight requests
-    (O(1) memory), which is what graceful drain actually needs: after
-    ``shutdown()`` stops the accept loop, :meth:`drain` waits for the
-    count to reach zero so responses already being written — session
-    saves, mirror writes — complete instead of being killed mid-write.
+    A *count* of in-flight requests (O(1) memory) is what graceful
+    drain needs: after ``shutdown()`` stops the accept loop,
+    :meth:`drain` waits for the count to reach zero so responses
+    already being written — session saves, mirror writes — complete
+    instead of being killed mid-write.  A connection counts from the
+    arrival of its request line (:meth:`request_started`), so an idle
+    one — a browser preconnect — does not hold the drain.
     """
 
-    daemon_threads = True
-    block_on_close = False
+    #: seconds an idle handler thread waits for a connection, then exits
+    idle_thread_s: float = 30.0
 
     def __init__(self, *args, reuse_port: bool = False, **kwargs):
         self.reuse_port = reuse_port
         self._inflight = 0
         self._inflight_cv = threading.Condition()
+        #: accepted connections waiting for an idle thread, the idle
+        #: threads, and whether the server has closed
+        self._pending: collections.deque = collections.deque()
+        self._idle: set = set()
+        self._pool_closed = False
+        self._pool_cv = threading.Condition()
         super().__init__(*args, **kwargs)
 
     def server_bind(self) -> None:
@@ -237,15 +275,64 @@ class _SoakFriendlyHTTPServer(ThreadingHTTPServer):
             self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         super().server_bind()
 
-    def process_request_thread(self, request, client_address) -> None:
+    # -- handler threads ---------------------------------------------------
+
+    def process_request(self, request, client_address) -> None:
+        with self._pool_cv:
+            # an idle thread not yet claimed by an earlier connection
+            # takes this one; otherwise start a thread for it
+            if len(self._idle) > len(self._pending):
+                self._pending.append((request, client_address))
+                self._pool_cv.notify()
+                return
+        threading.Thread(
+            target=self._handler_thread,
+            args=(request, client_address),
+            daemon=True,
+            name="powerplay-handler",
+        ).start()
+
+    def _handler_thread(self, request, client_address) -> None:
+        me = threading.current_thread()
+        while True:
+            try:
+                self.finish_request(request, client_address)
+            except Exception:  # noqa: BLE001 - as ThreadingMixIn does
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._pool_cv:
+                self._idle.add(me)
+                deadline = time.monotonic() + self.idle_thread_s
+                while not self._pending and not self._pool_closed:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    self._pool_cv.wait(remaining)
+                self._idle.discard(me)
+                if not self._pending:
+                    return  # idle too long, or the server closed
+                request, client_address = self._pending.popleft()
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._pool_cv:
+            self._pool_closed = True
+            self._pool_cv.notify_all()
+            idle = list(self._idle)
+        for thread in idle:
+            thread.join(timeout=1.0)
+
+    # -- drain -------------------------------------------------------------
+
+    def request_started(self) -> None:
         with self._inflight_cv:
             self._inflight += 1
-        try:
-            super().process_request_thread(request, client_address)
-        finally:
-            with self._inflight_cv:
-                self._inflight -= 1
-                self._inflight_cv.notify_all()
+
+    def request_finished(self) -> None:
+        with self._inflight_cv:
+            self._inflight -= 1
+            self._inflight_cv.notify_all()
 
     @property
     def inflight(self) -> int:

@@ -347,6 +347,83 @@ class TestDerivedCells:
         assert bridge["inverse"] == 2.0
 
 
+class TestNameClashes:
+    """A cell name has one owner; a clash is refused, never shadowed."""
+
+    @staticmethod
+    def clashing_design():
+        design = make_design()
+        design.add("g", ADDER, params={"bitwidth": 8, "VDD": 2.0})
+        design.add("total", ADDER, params={"bitwidth": 4})
+        return design
+
+    USES = {
+        "read g.VDD": lambda bridge: bridge["g.VDD"],
+        "read P.total": lambda bridge: bridge["P.total"],
+        "read P.alu": lambda bridge: bridge["P.alu"],
+        "total_power": lambda bridge: bridge.total_power,
+        "values": lambda bridge: bridge.values(),
+        "names": lambda bridge: bridge.names(),
+        "in": lambda bridge: "g.VDD" in bridge,
+        "write g.VDD": lambda bridge: bridge.set_parameter("g.VDD", 3.0),
+        "write alu.bitwidth":
+            lambda bridge: bridge.set_parameter("alu.bitwidth", 8.0),
+        "add_derived": lambda bridge: bridge.add_derived("y", "P.alu * 2"),
+    }
+
+    @pytest.mark.parametrize("use", USES.values(), ids=USES.keys())
+    def test_rows_g_and_total_are_refused(self, use):
+        design = self.clashing_design()
+        bridge = DesignSheet(design)
+        with pytest.raises(SheetError, match="row 'g'"):
+            use(bridge)
+        assert design.scope.raw("VDD") == 1.5
+        assert design.row("g").scope.raw("VDD") == 2.0
+        assert design.row("alu").scope.raw("bitwidth") == 16.0
+
+    def test_a_row_named_total_is_named(self):
+        design = make_design()
+        design.add("total", ADDER, params={"bitwidth": 4})
+        bridge = DesignSheet(design)
+        with pytest.raises(SheetError, match="'P.total'.*row 'total'"):
+            bridge.names()
+        with pytest.raises(SheetError, match="row 'total'"):
+            bridge.total_power
+
+    @pytest.mark.parametrize("row", ["g", "P"])
+    def test_a_row_named_like_a_cell_prefix_is_named(self, row):
+        design = make_design()
+        design.add(row, ADDER, params={"bitwidth": 4})
+        with pytest.raises(SheetError, match=f"row '{row}'"):
+            DesignSheet(design)["P.alu"]
+
+    def test_dotted_names_that_meet_are_refused(self):
+        design = make_design()
+        design.add("a", ADDER, params={"b.c": 1.0})
+        design.add("a.b", ADDER, params={"c": 2.0})
+        with pytest.raises(SheetError, match="'a.b.c'.*row 'a'.*row 'a.b'"):
+            DesignSheet(design).values()
+
+    def test_removing_the_row_heals_the_sheet(self):
+        design = self.clashing_design()
+        bridge = DesignSheet(design)
+        with pytest.raises(SheetError):
+            bridge.total_power
+        design.remove("g")
+        design.remove("total")
+        assert bridge["g.VDD"] == 1.5
+        assert bridge.total_power == evaluate_power(design).power
+
+    def test_a_sub_design_named_g_owns_no_parameter_cells(self):
+        child = Design("child")
+        child.add("x", ADDER, params={"bitwidth": 8})
+        design = make_design()
+        design.add_subdesign("g", child)
+        bridge = DesignSheet(design)
+        assert bridge["g.VDD"] == 1.5
+        assert bridge.row_power("g") == evaluate_power(design)["g"].power
+
+
 class TestSubDesigns:
     def test_subdesign_power_cell(self):
         child = Design("child")

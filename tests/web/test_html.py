@@ -75,6 +75,12 @@ class TestStructures:
         assert '<a href="/x">X</a>' in document
         assert "<p>body</p>" in document
 
+    def test_page_nav_is_the_link_helpers_markup(self):
+        nav = [("/menu?user=a&auth=<t>", "Main Menu"), ("/help", "R&D \"x\"")]
+        document = H.page("T", nav=nav)
+        links = " | ".join(H.link(href, text) for href, text in nav)
+        assert f'<div class="nav">{links}</div>' in document
+
     def test_error_page(self):
         document = H.error_page("Oops", "went wrong")
         assert 'class="error"' in document
