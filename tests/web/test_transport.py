@@ -219,7 +219,8 @@ class TestStalledConnections:
             elapsed = time.monotonic() - before
         finally:
             idle.close()
-        assert elapsed < server.drain_deadline / 5
+        # the accept loop may sleep out one 0.5-s poll before it stops
+        assert elapsed < server.drain_deadline / 2
 
     def test_connections_have_a_read_timeout_inside_the_drain(self):
         assert 0 < _Handler.timeout < PowerPlayServer.drain_deadline
