@@ -257,18 +257,25 @@ def pareto_mask(vectors: np.ndarray) -> np.ndarray:
     so rows tied on the full vector all survive (``-0.0`` ties ``0.0``).
     Callers filter NaN/inf first: NaN compares false against everything
     and would survive every test.  Rows are deduplicated in
-    lexicographic order; one or two columns then take an O(n log n)
-    running-minimum scan, more fall back to blockwise dominance.
+    lexicographic order (one sort, then a compare of adjacent rows); one
+    or two columns then take an O(n log n) running-minimum scan, more
+    fall back to blockwise dominance.
     """
     vectors = np.asarray(vectors, dtype=float)
     if vectors.shape[0] == 0:
         return np.zeros(0, dtype=bool)
-    unique, inverse = np.unique(vectors, axis=0, return_inverse=True)
+    order = np.lexsort(vectors.T[::-1])  # the first column sorts first
+    ordered = vectors[order]
+    first = np.ones(len(ordered), dtype=bool)  # of a run of equal rows
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    unique = ordered[first]
     if unique.shape[1] <= 2:
         keep_unique = _pareto_mask_2d(unique)
     else:
         keep_unique = _pareto_mask_nd(unique)
-    return keep_unique[inverse]
+    keep = np.empty(len(order), dtype=bool)
+    keep[order] = keep_unique[np.cumsum(first) - 1]
+    return keep
 
 
 def _finite_points(

@@ -34,8 +34,13 @@ AST, never ``eval``/``exec``/``compile()`` of text.
 * **Columns.**  :meth:`Plan.columns` evaluates a whole chunk of sweep
   points in one walk: the swept registers hold columns (float64
   arrays), every closure accepts a float or a column, and sums follow
-  :func:`column_sum`.  It raises wherever a point might not match
-  :meth:`Plan.point`, and changes nothing that method reads.
+  :func:`column_sum`.  Given the axes of a product space, a row that
+  reads no feeds and, of the swept registers, only axes runs once over
+  its grid (every setting of those axes, at most one chunk's points)
+  and each chunk takes its points from that table with one gather,
+  for as long as the axes' value arrays stay the same objects.  It
+  raises wherever a point might not match :meth:`Plan.point`, and
+  changes nothing that method reads.
 """
 
 from __future__ import annotations
@@ -467,6 +472,37 @@ class _Leaf(_Step):
         self.feeds = self.area_feeds = self.inputs = ()
 
 
+class _Sweep:
+    """One :meth:`Plan.columns` call: the chunk's size, its axes
+    (register -> ``(values, positions)``), the other swept registers,
+    the tables of its axes' arrays (leaf -> table or None), and the rows
+    served from tables and the rows that varied."""
+
+    __slots__ = ("count", "grid", "swept", "tables", "flat", "served", "varying")
+
+    def __init__(self, count: int, grid: Dict[int, tuple], swept: Sequence[int]):
+        self.count, self.grid, self.swept = count, grid, set(swept)
+        self.tables: Optional[Dict[_Leaf, Optional[tuple]]] = None
+        self.flat: Dict[tuple, np.ndarray] = {}  # axis registers -> grid index
+        self.served = self.varying = 0
+
+    def serve(self, axes: Tuple[int, ...], power, area):
+        """A table's ``(power, area parameter)`` at the chunk's points:
+        one gather of each column (a float stands for every point)."""
+        self.served += 1
+        if type(power) is not COLUMN and type(area) is not COLUMN:
+            return power, area
+        flat = self.flat.get(axes)
+        if flat is None:
+            flat = np.zeros(self.count, dtype=np.intp)
+            for register in axes:
+                array, positions = self.grid[register]
+                flat = flat * len(array) + positions
+            self.flat[axes] = flat
+        return (power[flat] if type(power) is COLUMN else power,
+                area[flat] if type(area) is COLUMN else area)
+
+
 class Plan:
     """A design compiled into slot-bound closures (see module docstring).
 
@@ -492,6 +528,10 @@ class Plan:
         self._overridden: set = set()
         self._cold = True
         self._reported = False  # every power step holds a full pass's output
+        #: step -> the registers it reads (``_readers`` inverted, on first use)
+        self._reading: Optional[Dict[_Step, List[int]]] = None
+        #: (axes key, their arrays, leaf -> table or None): see :meth:`_table`
+        self._tables: Optional[tuple] = None
         self.hits = self.misses = 0
 
     # -- binding -------------------------------------------------------------
@@ -528,6 +568,8 @@ class Plan:
                 for path in self._readers.get(register, ()):
                     self._mark(path)
                 changed = True
+        if changed:
+            self._tables = None  # built over the old stored values
         return changed
 
     def _register(self, value: float) -> int:
@@ -904,48 +946,114 @@ class Plan:
                     del scope._values[name]
 
     def columns(self, writes: Sequence[Tuple[ParameterScope, str, object]],
-                count: int):
+                count: int,
+                axes: Sequence[Tuple[ParameterScope, str, object, object]] = ()):
         """The power total at ``count`` points in one walk of the power
         pass: a column, or one float where nothing read varies.
 
-        ``writes`` are validated ``(scope, name, column)`` overrides;
+        ``writes`` are validated ``(scope, name, column)`` overrides and
+        ``axes`` validated ``(scope, name, values, positions)`` ones, the
+        axes of a product space, whose column is ``values[positions]``;
         every other slot holds its stored value, as :meth:`point` would
-        restore it.  Each row runs once with columns in its registers.
-        A column that varies counts a miss at every point; a row that
-        comes out one float counts one miss and ``count - 1`` hits.
-        Raises, leaving registers, dirty flags and row values as they
-        were, on a fallback row or wherever a closure raised for any
-        point: :meth:`point` then gives each point its own outcome.
+        restore it.  Each row runs once with columns in its registers,
+        except a row served from a table (see :meth:`_table`).  A column
+        that varies counts a miss at every point; a row that comes out
+        one float counts one miss and ``count - 1`` hits; a table counts
+        a miss at each point of its grid when built and a hit at every
+        point it serves.  Raises, leaving registers, dirty flags and row
+        values as they were, on a fallback row or wherever a closure
+        raised for any point: :meth:`point` then gives each point its
+        own outcome.
         """
         registers = [self.slot(scope, name) for scope, name, _ in writes]
+        grid = {self.slot(scope, name): (array, positions)
+                for scope, name, array, positions in axes}
         root = self.root("power")
         if self._volatile:
             raise EvaluationError("fallback rows run point by point")
         values = list(self._stored)
         for register, (_, _, column) in zip(registers, writes):
             values[register] = column
-        varying = [0]
-        total = self._column_power(root, values, varying)[0]
-        constant = root.rows - varying[0]
-        self.misses += varying[0] * count + constant
-        self.hits += constant * (count - 1)
+        for register, (array, positions) in grid.items():
+            values[register] = array[positions]
+        sweep = _Sweep(count, grid, registers)
+        if grid:
+            key = (frozenset(registers),
+                   tuple((register, id(array)) for register, (array, _) in grid.items()))
+            if self._tables is None or self._tables[0] != key:
+                # the arrays ride along so that no other array takes their ids
+                self._tables = (key, [array for array, _ in grid.values()], {})
+            sweep.tables = self._tables[2]
+        total = self._column_power(root, values, sweep)[0]
+        constant = root.rows - sweep.served - sweep.varying
+        self.misses += sweep.varying * count + constant
+        self.hits += constant * (count - 1) + sweep.served * count
         return total
 
-    def _column_power(self, node: _Node, values: List, varying: List[int]):
+    def _column_power(self, node: _Node, values: List, sweep: "_Sweep"):
         """A design's ``(power, _area)`` over a chunk (see :meth:`columns`)."""
         if node.order_error is not None:
             raise DesignError(node.order_error)
         children = node.children
         power: List = [0.0] * len(children)
         area: List = [0.0] * len(children)
+        tables = sweep.tables
         for index in node.order:
             child = children[index]
             if isinstance(child, _Node):
-                power[index], area[index] = self._column_power(child, values, varying)
+                power[index], area[index] = self._column_power(child, values, sweep)
                 continue
+            if tables is not None:
+                if child not in tables:
+                    tables[child] = self._table(child, sweep)
+                if tables[child] is not None:
+                    power[index], area[index] = sweep.serve(*tables[child])
+                    continue
             power[index], area[index] = self._column_row(child, power, area, values)
-            varying[0] += type(power[index]) is COLUMN
+            sweep.varying += type(power[index]) is COLUMN
         return column_sum(power), self._check(node, False, values)
+
+    def _table(self, leaf: _Leaf, sweep: "_Sweep"):
+        """The row's table for this sweep's axes: ``(axis registers,
+        power, area parameter)`` at every point of its grid, or None
+        where the row runs per chunk.
+
+        Tabled is a row that reads no feeds and, of the swept registers,
+        only axes, whose lengths multiply to at most the chunk's points
+        (its grid, row-major over the registers in order).  The row runs
+        once over its grid, as :meth:`_column_row`; a grid that raises,
+        or whose area parameter comes out None, leaves the row untabled.
+        """
+        if leaf.inputs:
+            return None
+        if self._reading is None:  # ``_readers`` inverted
+            self._reading = {}
+            for register, paths in self._readers.items():
+                for path in paths:
+                    self._reading.setdefault(path[-1], []).append(register)
+        axes = []
+        for register in sorted(self._reading.get(leaf, ())):
+            if register in sweep.grid:
+                axes.append(register)
+            elif register in sweep.swept:
+                return None  # a coupled target, or an axis validated per chunk
+        arrays = [sweep.grid[register][0] for register in axes]
+        size = stride = math.prod(map(len, arrays))
+        if size > sweep.count:
+            return None
+        values = list(self._stored)
+        point = np.arange(size)
+        for register, array in zip(axes, arrays):
+            stride //= len(array)
+            values[register] = array[point // stride % len(array)]
+        try:
+            power, area = self._column_row(leaf, (), (), values)
+        except Exception:  # raised again per chunk, in the chunks it concerns
+            return None
+        if area is None:
+            return None
+        self.misses += size
+        return tuple(axes), power, area
 
     def _column_row(self, leaf: _Leaf, power: List, area: List, values: List):
         """One row's ``(power, area parameter)`` over a chunk, as

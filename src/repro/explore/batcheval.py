@@ -22,7 +22,9 @@ reach row-local parameters that top-page overrides cannot shadow.
 :meth:`BatchEvaluator.columns` evaluates a whole chunk at once, with
 override columns bound to the same slots (see
 :meth:`repro.core.plan.Plan.columns`); where it returns, every point
-equals :meth:`BatchEvaluator.evaluate`'s, bit for bit.
+equals :meth:`BatchEvaluator.evaluate`'s, bit for bit.  Given a
+product space's axes it validates each axis's values once, and the
+plan serves the rows that read only axes from tables.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from ..core.design import Design, SubDesign
 from ..core.expressions import COLUMN
 from ..core.parameters import Parameter, ParameterScope
 from ..core.plan import Plan
-from ..errors import ExploreError, PowerPlayError
+from ..errors import ExploreError, ParameterError, PowerPlayError
 
 BUILTIN_OBJECTIVES = ("power", "area", "delay")
 
@@ -140,6 +142,8 @@ class BatchEvaluator:
         self._targets: Dict[
             str, Tuple[ParameterScope, str, Optional[Parameter], bool]
         ] = {}
+        #: axis target -> (its values array, those values validated or None)
+        self._axes: Dict[str, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -183,31 +187,62 @@ class BatchEvaluator:
             self.misses += plan.misses - misses
         return dict(zip(self.objectives, totals))
 
-    def columns(self, overrides: Mapping[str, np.ndarray],
-                count: int) -> Dict[str, np.ndarray]:
+    def _axis(self, target: str, declaration: Optional[Parameter],
+              values: np.ndarray) -> Optional[np.ndarray]:
+        """An axis's ``values`` validated, once per array; None where
+        ``validate`` refuses one of them."""
+        held = self._axes.get(target)
+        if held is None or held[0] is not values:
+            checked = values
+            if declaration is not None:
+                try:
+                    checked = _validated(declaration, values)
+                except ParameterError:
+                    checked = None
+            held = self._axes[target] = (values, checked)
+        return held[1]
+
+    def columns(self, overrides: Mapping[str, np.ndarray], count: int,
+                axes: Optional[Mapping[str, Tuple[np.ndarray, np.ndarray]]] = None,
+                ) -> Dict[str, np.ndarray]:
         """Objective columns at ``count`` points from override columns,
         in one walk of the power pass.
 
-        Raises where a point might not match :meth:`evaluate` — an
-        ``area`` or ``delay`` objective, a value ``validate`` refuses,
-        any failure in the pass — and then has changed nothing.
+        ``axes`` maps the targets of a product space's axes to
+        ``(values, positions)`` (:meth:`ParameterSpace.axis_grid`): such
+        a target's column is its validated ``values`` gathered at
+        ``positions``, and rows that read only axes may be served from
+        the plan's tables (:meth:`repro.core.plan.Plan.columns`).  An
+        axis with a value ``validate`` refuses is validated per chunk,
+        as every other target is.  Raises where a point might not match
+        :meth:`evaluate` — an ``area`` or ``delay`` objective, a value
+        ``validate`` refuses, any failure in the pass — and then has
+        changed nothing.
         """
         if self._passes != ("power",):
             raise ExploreError("area and delay evaluate point by point")
         writes = []
+        grid = []
         pins = []
         for target, column in overrides.items():
             scope, name, declaration, structural = self._bind(target)
-            if declaration is not None:
-                column = _validated(declaration, column)
-            writes.append((scope, name, column))
+            axis = axes.get(target) if axes else None
+            checked = None if axis is None else self._axis(target, declaration, axis[0])
+            if checked is not None:
+                grid.append((scope, name, checked, axis[1]))
+            else:
+                if declaration is not None:
+                    column = _validated(declaration, column)
+                writes.append((scope, name, column))
             if structural:
                 pins.append((scope, name))
         plan = self._plan_for(pins)
         hits, misses = plan.hits, plan.misses
-        total = plan.columns(writes, count)
-        self.hits += plan.hits - hits
-        self.misses += plan.misses - misses
+        try:
+            total = plan.columns(writes, count, grid)
+        finally:  # a table built before a failure stays built
+            self.hits += plan.hits - hits
+            self.misses += plan.misses - misses
         if type(total) is float:
             total = np.full(count, total)
         elif type(total) is not COLUMN:

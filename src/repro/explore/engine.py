@@ -201,8 +201,10 @@ def _column_rows(
     count = len(indices)
     try:
         with np.errstate(all="ignore"):
-            values, overrides = space.columns(indices)
-            objectives = evaluator.columns(overrides, count)
+            grid = space.axis_grid(indices)
+            values, overrides = space.columns(indices, grid)
+            objectives = evaluator.columns(
+                overrides, count, {axis.target: grid[axis.name] for axis in space.axes})
             env = {**values, **overrides, **objectives}
             for obj in derived:
                 objectives[obj.name] = env[obj.name] = obj.column(env, count)

@@ -24,27 +24,24 @@ from ..core.optimize import pareto_mask
 from ..errors import ExploreError
 
 
-def _objective_vector(
-    row: Mapping, objectives: Sequence[str]
-) -> List[float]:
-    """The row's objective values in ``objectives`` order."""
-    values = row.get("objectives", {})
-    try:
-        return [float(values[name]) for name in objectives]
-    except KeyError as exc:
-        raise ExploreError(
-            f"row {row.get('index')} is missing objective {exc}"
-        ) from None
-
-
 def _objective_matrix(
     rows: Sequence[Mapping], objectives: Sequence[str]
 ) -> np.ndarray:
     """The ``(len(rows), len(objectives))`` float array of the rows'
     objective values."""
-    return np.array(
-        [_objective_vector(row, objectives) for row in rows], dtype=float
-    ).reshape(len(rows), len(objectives))
+    try:
+        flat = [float(row["objectives"][name])
+                for row in rows for name in objectives]
+    except KeyError:
+        for row in rows:
+            values = row.get("objectives", {})
+            for name in objectives:
+                if name not in values:
+                    raise ExploreError(
+                        f"row {row.get('index')} is missing objective {name!r}"
+                    ) from None
+        raise
+    return np.array(flat, dtype=float).reshape(len(rows), len(objectives))
 
 
 def front_mask(vectors: np.ndarray) -> np.ndarray:

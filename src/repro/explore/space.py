@@ -431,10 +431,14 @@ class ParameterSpace:
             overrides[couple.target] = couple.value(values)
         return {"index": index, "values": values, "overrides": overrides}
 
-    def axis_columns(self, indices: Sequence[int]) -> Dict[str, np.ndarray]:
-        """Axis name -> float64 column of the values at points
-        ``indices``, one element a point: :meth:`axis_values` bit for
-        bit, decoded row-major as it does."""
+    def axis_grid(
+        self, indices: Sequence[int]
+    ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+        """Axis name -> ``(values, positions)`` at points ``indices``:
+        the axis's values as one float64 array (the same object on every
+        call) and each point's position in it, decoded row-major as
+        :meth:`axis_values` does; ``values[positions]`` is the axis's
+        column."""
         if type(indices) is range:
             position = np.arange(indices.start, indices.stop, indices.step,
                                  dtype=np.int64)
@@ -447,20 +451,32 @@ class ParameterSpace:
         if self._arrays is None:
             self._arrays = [np.array(axis.values, dtype=np.float64)
                             for axis in self.axes]
-        columns = []
+        grid = []
         for axis, array in zip(reversed(self.axes), reversed(self._arrays)):
             position, offset = np.divmod(position, len(axis))
-            columns.append((axis.name, array[offset]))
-        return dict(reversed(columns))
+            grid.append((axis.name, (array, offset)))
+        return dict(reversed(grid))
+
+    def axis_columns(self, indices: Sequence[int]) -> Dict[str, np.ndarray]:
+        """Axis name -> float64 column of the values at points
+        ``indices``, one element a point: :meth:`axis_values` bit for
+        bit."""
+        return {name: array[positions]
+                for name, (array, positions) in self.axis_grid(indices).items()}
 
     def columns(
-        self, indices: Sequence[int]
+        self, indices: Sequence[int],
+        grid: Optional[Mapping[str, Tuple[np.ndarray, np.ndarray]]] = None,
     ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
         """Points ``indices`` as float64 columns, one element a point:
         axis name -> value and target -> override (coupling applied),
-        the values :meth:`point` gives point by point.  Raises where any
-        point's coupling fails."""
-        values = self.axis_columns(indices)
+        the values :meth:`point` gives point by point.  ``grid`` is
+        :meth:`axis_grid` of the same ``indices`` where the caller has
+        it.  Raises where any point's coupling fails."""
+        if grid is None:
+            grid = self.axis_grid(indices)
+        values = {name: array[positions]
+                  for name, (array, positions) in grid.items()}
         overrides = {axis.target: values[axis.name] for axis in self.axes}
         for couple in self.coupled:
             overrides[couple.target] = _column(couple.expression, values,

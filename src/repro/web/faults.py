@@ -356,6 +356,3 @@ class ChaosServer(PowerPlayServer):
             handler_base=_ChaosHandler,
             handler_attrs={"fault_plan": plan},
         )
-        # severed sockets make http.server's default handle_error noisy;
-        # injected faults are expected, so keep stderr clean
-        self._httpd.handle_error = lambda *args: None

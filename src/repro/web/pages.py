@@ -287,9 +287,14 @@ def design_sheet_page(
     total = report.power
     # every link on the page starts from this query
     query = escape(f"{cred(user, auth)}&name={design_name}")
+    children: Dict[str, PowerReport] = {}
+    for child in report.children:
+        children.setdefault(child.name, child)  # the one child() finds
     rows = []
     for row in design:
-        child = report.child(row.name)
+        child = children.get(row.name)
+        if child is None:
+            child = report.child(row.name)  # raises its DesignError
         name = escape(str(row.name))
         cell = name
         if isinstance(row, SubDesign):

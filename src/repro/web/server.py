@@ -19,6 +19,7 @@ import collections
 import ipaddress
 import itertools
 import socket
+import sys
 import threading
 import time
 import urllib.parse
@@ -313,6 +314,16 @@ class _SoakFriendlyHTTPServer(HTTPServer):
                 if not self._pending:
                     return  # idle too long, or the server closed
                 request, client_address = self._pending.popleft()
+
+    def handle_error(self, request, client_address) -> None:
+        """A connection that failed outside the application (a client
+        that reset it before reading its reply, say): one structured
+        event, not socketserver's traceback on raw stderr."""
+        _Handler._httpd_log.warning(
+            "connection_error",
+            client=client_address[0],
+            error=type(sys.exc_info()[1]).__name__,
+        )
 
     def server_close(self) -> None:
         super().server_close()

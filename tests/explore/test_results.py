@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
+from repro.errors import ExploreError
 from repro.explore import (
+    ParetoFront,
     export_csv,
     export_json,
     pareto_rows,
@@ -44,6 +48,30 @@ class TestParetoRows:
             row(1, {"a": 2.0}, {"power": 5.0}),
         ]
         assert [r["index"] for r in pareto_rows(rows, ("power",))] == [1]
+
+    def test_a_row_missing_an_objective_is_named(self):
+        rows = [
+            row(0, {"a": 1.0}, {"power": 1.0, "delay": 2.0}),
+            row(7, {"a": 2.0}, {"power": 2.0}),
+            row(8, {"a": 3.0}, {"delay": 1.0}),
+        ]
+        with pytest.raises(ExploreError,
+                           match=r"^row 7 is missing objective 'delay'$"):
+            pareto_rows(rows, ("power", "delay"))
+        bare = {"index": 9, "values": {}, "error": ""}  # no objectives at all
+        with pytest.raises(ExploreError,
+                           match=r"^row 9 is missing objective 'power'$"):
+            pareto_rows([bare], ("power",))
+        front = ParetoFront(("power", "delay"))
+        with pytest.raises(ExploreError, match="row 8 is missing objective 'power'"):
+            front.fold(rows[2:])
+
+    def test_objectives_are_read_as_floats(self):
+        rows = [
+            row(0, {"a": 1.0}, {"power": 2, "delay": "1.5"}),
+            row(1, {"a": 2.0}, {"power": 1.0, "delay": 3}),
+        ]
+        assert [r["index"] for r in pareto_rows(rows, ("power", "delay"))] == [0, 1]
 
     def test_single_objective_is_the_minimum(self):
         rows = [

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.design import Design, SubDesign
-from repro.core.estimator import evaluate_power
+from repro.core.estimator import PowerReport, evaluate_power
 from repro.core.model import ExpressionPowerModel
-from repro.errors import PowerPlayError
+from repro.errors import DesignError, PowerPlayError
 from repro.web import pages
 from repro.web.app import Application
 
@@ -125,6 +125,38 @@ class TestSameBytes:
         design.add("r", model, params={"C": 1e-12}, doc="<b>&amp;</b>")
         same_page("u", design, name="a&b<c>", path="p&q", error="<x>",
                   auth="t&k")
+
+
+class TestManyRows:
+    def test_a_500_row_sheet_scans_no_children(self, monkeypatch):
+        """Each row's report comes from one index of the children, not
+        a scan of them per row; the bytes stay the oracle's."""
+        design = Design("wide", doc="doc")
+        design.scope.set("VDD", 1.5)
+        design.scope.set("f", 2e6)
+        model = ExpressionPowerModel("cap", "C * VDD^2 * f")
+        for index in range(500):
+            design.add(f"r{index}", model, params={"C": (index + 1) * 1e-15},
+                       doc=f"row {index}")
+        report = evaluate_power(design)
+        expected = oracle.design_sheet_page(USER, design, report)
+        scans = []
+        child = PowerReport.child
+        monkeypatch.setattr(PowerReport, "child", lambda self, name: (
+            scans.append(name), child(self, name))[1])
+        assert pages.design_sheet_page(USER, design, report) == expected
+        assert scans == []
+
+    def test_a_row_with_no_report_raises(self):
+        design = Design("d", doc="doc")
+        design.scope.set("VDD", 1.5)
+        design.scope.set("f", 2e6)
+        model = ExpressionPowerModel("cap", "C * VDD^2 * f")
+        design.add("r", model, params={"C": 1e-12})
+        report = evaluate_power(design)
+        design.add("late", model, params={"C": 1e-12})
+        with pytest.raises(DesignError, match="has no child 'late'"):
+            pages.design_sheet_page(USER, design, report)
 
 
 class TestRowNamesEscapedOnce:

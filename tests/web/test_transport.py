@@ -3,11 +3,14 @@ and connections that cannot pin a thread or the drain."""
 
 import http.client
 import socket
+import struct
 import sys
 import threading
 import time
 import urllib.request
 
+from repro import obs
+from repro.obs.logs import MemorySink
 from repro.web.app import Application, Response
 from repro.web.server import PowerPlayServer, _Handler
 
@@ -281,3 +284,29 @@ class TestStalledConnections:
             reply.read()
             assert reply.will_close
             conn.close()
+
+
+class TestClientResets:
+    def test_a_reset_before_the_reply_is_one_log_event(self, tmp_path, capfd):
+        """A client that resets its connection right after sending gets
+        a structured event, not a traceback on raw stderr, and the
+        server keeps serving."""
+        memory = MemorySink()
+        with obs.overridden(enabled=True, log_level=obs.WARNING, sink=memory), \
+                PowerPlayServer(tmp_path / "state") as server:
+            for _ in range(5):
+                sock = _raw_connection(server)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))  # close sends RST
+                sock.sendall(b"GET /api/library.json HTTP/1.0\r\n\r\n")
+                sock.close()
+            deadline = time.monotonic() + 10
+            while len(memory.records) < 5 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert get(server, "/healthz")[0] == 200
+        assert "Traceback" not in capfd.readouterr().err
+        assert [(record["component"], record["event"], record["client"])
+                for record in memory.records] == \
+            [("web.httpd", "connection_error", "127.0.0.1")] * 5
+        assert {record["error"] for record in memory.records} <= {
+            "ConnectionResetError", "BrokenPipeError"}
