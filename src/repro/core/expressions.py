@@ -518,7 +518,7 @@ FUNCTIONS: Dict[str, Callable[..., float]] = {
     "round": round,
     "min": min,
     "max": max,
-    "pow": lambda x, y: x**y,
+    "pow": lambda x, y: _power(x, y),
     "sin": math.sin,
     "cos": math.cos,
     "tan": math.tan,
@@ -587,7 +587,10 @@ def _modulo(left: float, right: float) -> float:
         return elementwise(_modulo, left, right)
     if right == 0:
         raise EvaluationError("modulo by zero")
-    return math.fmod(left, right)
+    try:
+        return math.fmod(left, right)
+    except ValueError as exc:  # an infinite dividend
+        raise EvaluationError(f"modulo error: {left} % {right}") from exc
 
 
 def _power(left: float, right: float) -> float:
@@ -725,9 +728,9 @@ def _call(function: str, args: Sequence[Compiled]) -> Compiled:
         values = []
         for arg in argfns:
             values.append(arg(env))
-        if COLUMN in map(type, values):
-            return elementwise(lambda *point: float(func(*point)), *values)
         try:
+            if COLUMN in map(type, values):
+                return elementwise(lambda *point: float(func(*point)), *values)
             return float(func(*values))
         except EvaluationError:
             raise

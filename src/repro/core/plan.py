@@ -148,7 +148,10 @@ def _differs(old, new) -> bool:
 
 def _register_value(value):
     """What :meth:`Plan._row` stores in a feed register: ``float(value)``,
-    or the column itself."""
+    or the column itself.  None is an area parameter whose model raised
+    at some point of the chunk (see :meth:`Plan._column_row`)."""
+    if value is None:
+        raise EvaluationError("a fed area parameter failed at some point")
     return value if type(value) is COLUMN else float(value)
 
 

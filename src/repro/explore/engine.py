@@ -18,16 +18,19 @@ and killed-then-resumed runs all export byte-identical results.
 A chunk of at least :data:`COLUMNAR_MIN_POINTS` points is evaluated in
 one columnar pass (every point's values as float64 columns through the
 compiled plan) and falls back to the per-point loop, the reference,
-wherever that pass raises; the rows are the same either way.
+wherever that pass raises a :class:`PowerPlayError`; the rows are the
+same either way.  A columnar chunk's rows are a
+:class:`~repro.explore.results.RowTable` over the pass's columns, which
+builds a row dict only when the row is read; a per-point chunk's are a
+list.
 
-A **pruned** chunk keeps only its Pareto-optimal rows.  A columnar
-chunk picks them straight from its objective columns and builds row
-dicts for the survivors alone; a per-point chunk applies
-:func:`~repro.explore.results.pareto_rows` to its rows.  Failed points
-are counted before they are dropped.  :func:`run_sweep` then folds each
-chunk's survivors into a running :class:`~repro.explore.results.ParetoFront`,
-so a pruned sweep holds at most twice its front plus one chunk, whatever
-the size of the space.
+A **pruned** chunk keeps only its Pareto-optimal rows, by
+:func:`~repro.explore.results.pareto_rows`: a columnar chunk picks them
+straight from its objective columns and builds row dicts for the
+survivors alone.  Failed points are counted before they are dropped.
+:func:`run_sweep` then folds each chunk's survivors into a running
+:class:`~repro.explore.results.ParetoFront`, so a pruned sweep holds at
+most twice its front plus one chunk, whatever the size of the space.
 
 ``mode``:
 
@@ -61,7 +64,7 @@ from ..library.designio import design_from_payload, design_to_payload
 from ..obs import annotate, get_logger, get_registry, span
 from .batcheval import BatchEvaluator
 from .jobs import ENGINE_MODES, SweepJob
-from .results import ParetoFront, front_mask, pareto_rows
+from .results import ParetoFront, RowTable, pareto_rows
 from .space import DerivedObjective, ParameterSpace, check_held_points
 
 _LOG = get_logger("explore")
@@ -73,8 +76,10 @@ _CHUNK_BUCKETS = (
 )
 
 #: ``on_chunk(start, stop, rows, seconds, failed)`` — the checkpoint
-#: hook; ``failed`` counts the chunk's failed points, rows or not
-ChunkHook = Callable[[int, int, List[dict], float, int], None]
+#: hook; ``rows`` is a sequence of row dicts (a
+#: :class:`~repro.explore.results.RowTable` or a list), ``failed``
+#: counts the chunk's failed points, rows or not
+ChunkHook = Callable[[int, int, Sequence[dict], float, int], None]
 
 #: the shortest chunk evaluated as columns: below it the columnar pass
 #: costs more than the per-point loop (EXPERIMENTS.md C1)
@@ -137,9 +142,12 @@ class EngineReport:
 
 @dataclass
 class SweepOutcome:
-    """A finished (or pruned) sweep: rows in point order + the report."""
+    """A finished (or pruned) sweep: rows in point order + the report.
 
-    rows: List[dict]
+    ``rows`` is a :class:`~repro.explore.results.RowTable` when every
+    chunk ran columnar and no row was pruned, else a list."""
+
+    rows: Sequence[dict]
     report: EngineReport
     axis_names: List[str] = field(default_factory=list)
     objective_names: List[str] = field(default_factory=list)
@@ -193,11 +201,11 @@ def _column_rows(
     space: ParameterSpace,
     derived: Sequence[DerivedObjective],
     indices: range,
-    front: Sequence[str],
-) -> Optional[List[dict]]:
+) -> Optional[RowTable]:
     """The chunk's rows from one columnar pass, equal to
-    :func:`_point_row`'s; None where the pass raised.  With ``front``
-    (objective names) only the chunk's Pareto-optimal rows are built."""
+    :func:`_point_row`'s; None where the pass raised a
+    :class:`PowerPlayError` (any other exception is a bug and
+    propagates)."""
     count = len(indices)
     try:
         with np.errstate(all="ignore"):
@@ -208,30 +216,10 @@ def _column_rows(
             env = {**values, **overrides, **objectives}
             for obj in derived:
                 objectives[obj.name] = env[obj.name] = obj.column(env, count)
-    except Exception:
+    except PowerPlayError:
         return None
-    if front:
-        keep = np.flatnonzero(front_mask(
-            np.column_stack([objectives[name] for name in front])))
-        indices = [indices[at] for at in keep.tolist()]
-    else:
-        keep = slice(None)
-    # an axis target's override is its axis value: one float, as point() gives
-    listed = {id(column): column[keep].tolist()
-              for columns in (values, overrides, objectives)
-              for column in columns.values()}
-
-    def points(columns):
-        return zip(*[listed[id(column)] for column in columns.values()])
-
-    names, targets, measured = list(values), list(overrides), list(objectives)
-    return [
-        {"index": index, "values": dict(zip(names, point_values)),
-         "overrides": dict(zip(targets, point_overrides)),
-         "objectives": dict(zip(measured, point_objectives)), "error": ""}
-        for index, point_values, point_overrides, point_objectives in zip(
-            indices, points(values), points(overrides), points(objectives))
-    ]
+    return RowTable(np.arange(indices.start, indices.stop), values, overrides,
+                    objectives)
 
 
 def _evaluate_chunk(
@@ -241,7 +229,7 @@ def _evaluate_chunk(
     front: Sequence[str],
     start: int,
     stop: int,
-) -> Tuple[List[dict], float, int, int, int, int]:
+) -> Tuple[Sequence[dict], float, int, int, int, int]:
     """``(rows, seconds, failed points, row hits, row misses, columnar
     points)`` for the chunk ``[start, stop)``; with ``front`` (objective
     names) only its Pareto-optimal rows."""
@@ -250,15 +238,15 @@ def _evaluate_chunk(
     indices = range(start, stop)
     rows = None
     if len(indices) >= COLUMNAR_MIN_POINTS:
-        rows = _column_rows(evaluator, space, derived, indices, front)
+        rows = _column_rows(evaluator, space, derived, indices)
     columnar = failed = 0
     if rows is None:
         rows = [_point_row(evaluator, space, derived, index) for index in indices]
         failed = sum(1 for row in rows if row["error"])
-        if front:
-            rows = pareto_rows(rows, front)
     else:
         columnar = len(indices)
+    if front:
+        rows = pareto_rows(rows, front)
     return (rows, time.perf_counter() - began, failed,
             evaluator.hits - hits0, evaluator.misses - misses0, columnar)
 
@@ -425,7 +413,7 @@ def run_sweep(
     chunk_size: int = 64,
     prune: bool = False,
     should_stop: Optional[Callable[[], bool]] = None,
-    on_chunk: Optional[Callable[[int, int, List[dict], float], None]] = None,
+    on_chunk: Optional[Callable[[int, int, Sequence[dict], float], None]] = None,
 ) -> SweepOutcome:
     """Evaluate the whole space and assemble rows in point order.
 
@@ -435,12 +423,14 @@ def run_sweep(
     ``on_chunk`` sees, only its own front, and the survivors fold into
     a running front, so any space up to the cap may be pruned, while a
     sweep that keeps every row may have at most ``ABSOLUTE_POINT_CAP``
-    points.  The report still counts every evaluated point.
+    points.  The report still counts every evaluated point.  When every
+    chunk ran columnar, the rows are their tables joined
+    (:meth:`RowTable.concat`); otherwise a list.
     """
     check_held_points(space, prune)
     objective_names = list(objectives) + [d.name for d in derived]
     front = ParetoFront(objective_names) if prune else None
-    held: Dict[int, List[dict]] = {}
+    held: Dict[int, Sequence[dict]] = {}
 
     def collect(start, stop, rows, seconds, failed):
         if front is None:
@@ -460,10 +450,14 @@ def run_sweep(
             workers=workers, mode=mode, prune=prune,
             should_stop=should_stop, on_chunk=collect,
         )
-    if front is None:
-        rows = [row for start in sorted(held) for row in held[start]]
-    else:
+    if front is not None:
         rows = front.rows
+    else:
+        parts = [held[start] for start in sorted(held)]
+        if parts and all(type(part) is RowTable for part in parts):
+            rows = RowTable.concat(parts)
+        else:
+            rows = [row for part in parts for row in part]
     return SweepOutcome(
         rows=rows,
         report=report,

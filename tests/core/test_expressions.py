@@ -3,6 +3,7 @@
 import math
 from collections.abc import Mapping
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -162,6 +163,31 @@ class TestFunctions:
             ev("sqrt(-1)")
         with pytest.raises(EvaluationError):
             ev("log(0)")
+
+    def test_pow_with_a_complex_result_fails_as_the_operator_does(self):
+        with pytest.raises(EvaluationError, match=r"^complex result: -2.0 \^ 0.5$"):
+            ev("pow(-2, 0.5)")
+        with pytest.raises(EvaluationError, match=r"^power error: "):
+            ev("pow(1e300, 10)")
+        assert ev("pow(2, 10)") == ev("2 ^ 10") == 1024.0
+
+    @pytest.mark.parametrize("source, bad", [
+        ("exp(x)", 1000.0), ("pow(x, 0.5)", -2.0), ("floor(x)", math.inf),
+        ("round(x)", math.nan)])
+    def test_a_function_fails_over_a_column_as_over_a_float(self, source, bad):
+        """A column holding one bad point raises the float's error."""
+        expression = compile_expression(source)
+        with pytest.raises(EvaluationError) as scalar:
+            expression.evaluate({"x": bad})
+        with pytest.raises(EvaluationError) as column:
+            expression.evaluate({"x": np.array([1.0, bad, 2.0])})
+        assert str(column.value) == str(scalar.value)
+
+    def test_modulo_of_an_infinite_dividend(self):
+        with pytest.raises(EvaluationError, match=r"^modulo error: inf % 1.0$"):
+            ev("(1e308 * 10) % 1")
+        with pytest.raises(EvaluationError, match=r"^modulo error: inf % 1.0$"):
+            compile_expression("x % 1").evaluate({"x": np.array([2.5, math.inf])})
 
 
 class TestEvaluation:

@@ -8,10 +8,12 @@ the per-point loop instead, so these tests check both that the pass is
 right whenever it answers and that it answers on the paper's sweeps.
 """
 
+import json
 import math
 import random
 import struct
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +22,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.design import Design
 from repro.core.expressions import compile_expression
-from repro.core.model import CapacitiveTerm, ExpressionPowerModel, TemplatePowerModel
+from repro.core.model import (
+    CapacitiveTerm,
+    ExpressionAreaModel,
+    ExpressionPowerModel,
+    ModelSet,
+    TemplatePowerModel,
+)
 from repro.core.plan import COMPENSATED_SUM, column_sum
 from repro.designs.infopad import build_infopad
 from repro.designs.luminance import build_figure1_design
-from repro.errors import PowerPlayError
+from repro.errors import EvaluationError, PowerPlayError
 from repro.explore import (
     Axis,
     DerivedObjective,
@@ -32,15 +40,19 @@ from repro.explore import (
     ParameterSpace,
     export_csv,
     export_json,
+    pareto_rows,
     run_sweep,
 )
 from repro.explore.batcheval import BatchEvaluator, resolve_target
 from repro.explore.engine import COLUMNAR_MIN_POINTS, run_chunks, run_job
+from repro.explore.results import RowTable
 from repro.explore.space import CoupledParam
+from repro.library.designio import design_to_payload
 from repro.models.converter import DCDCConverterModel
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
 import test_plan_differential as differential  # noqa: E402
+import test_tables  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -131,6 +143,104 @@ def test_the_pass_answers_where_it_can():
                 eligible += 1
                 answered += got is not None
     assert eligible >= 40 and answered >= 0.95 * eligible, (answered, eligible)
+
+
+# -- row tables over random designs ------------------------------------------------
+
+#: a second objective, so that the sweeps have a front to prune
+FIRST = DerivedObjective("first", "a0")
+
+
+def _all_columnar_chunk(points):
+    """A chunk size that gives every chunk of ``points`` at least
+    ``COLUMNAR_MIN_POINTS`` points, in two chunks where it can."""
+    return points if points < 2 * COLUMNAR_MIN_POINTS else -(-points // 2)
+
+
+def _serializable(design):
+    try:
+        design_to_payload(design)
+    except PowerPlayError:  # a callable or macro model has no payload
+        return False
+    return True
+
+
+def _journal_lines(design, space, chunk_size):
+    """The job journal of a sweep run chunk by chunk through
+    ``SweepJob.record_chunk``, and each chunk's row sequence."""
+    with tempfile.TemporaryDirectory() as root:
+        store = JobStore(root)
+        job = store.create(design, space, derived=(FIRST,), chunk_size=chunk_size)
+        chunks = []
+        run_chunks(job.design(), job.space, job.pending_chunks(), derived=job.derived,
+                   on_chunk=lambda *chunk: (job.record_chunk(*chunk), chunks.append(chunk)))
+        lines = store.backend.journal("jobs", job.job_id)
+        store.backend.close()
+    return lines, chunks
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_row_tables_are_the_per_point_rows(seed):
+    """A sweep whose chunks all ran columnar hands over a ``RowTable``:
+    every read of it is the per-point loop's rows, its Pareto front is
+    its own rows, iterating keeps nothing, and the journal and the
+    process-mode rows are the per-point ones."""
+    design, space = test_tables._space(seed)
+    try:
+        reference = run_sweep(design, space, derived=(FIRST,), chunk_size=1)
+    except (ArithmeticError, ValueError):  # the sweep stops at any chunk size
+        return
+    size = _all_columnar_chunk(len(space))
+    outcome = run_sweep(design, space, derived=(FIRST,), chunk_size=size)
+    rows, expected = outcome.rows, reference.rows
+    table = type(rows) is RowTable
+
+    def exact(sequence):  # key order, float types and bits, NaN as NaN
+        return [test_tables.row_bits(row) for row in sequence]
+
+    assert exact(rows) == exact(expected)
+    if table:  # that full iteration kept no row
+        assert outcome.report.columnar == len(space) and not rows._kept
+    # as with lists of dicts, a NaN equals no other NaN object
+    assert (rows == expected) is (expected == rows) is (
+        "NaN" not in json.dumps(expected))
+    names = outcome.objective_names
+    front = pareto_rows(rows, names)
+    assert exact(front) == exact(pareto_rows(expected, names))
+    assert all(row is rows[row["index"]] for row in front)
+    assert exports(outcome) == exports(reference)
+    if table:
+        assert rows[0] is rows[0] and rows[-1] is rows[len(rows) - 1]
+        part = rows[1:7:2]
+        assert type(part) is list and exact(part) == exact(expected[1:7:2])
+        assert part[1] is rows[3]
+        kept = dict(rows._kept)
+        listed = list(rows)
+        assert rows._kept.keys() == kept.keys()
+        assert all(listed[at] is row for at, row in kept.items())
+    if _serializable(design):
+        forked = run_sweep(design, space, derived=(FIRST,), chunk_size=size,
+                           mode="process", workers=2)
+        assert exact(forked.rows) == exact(expected)
+        lines, chunks = _journal_lines(design, space, size)
+        assert lines == [
+            json.dumps({"start": start, "stop": stop, "rows": expected[start:stop],
+                        "seconds": seconds, "failed": failed}, sort_keys=True)
+            for start, stop, _rows, seconds, failed in chunks]
+
+
+def test_the_row_table_property_reaches_tables():
+    """Not vacuous: a fair share of the property's sweeps come back as
+    tables, some of them joined from two chunks."""
+    tables = joined = 0
+    for seed in range(40):
+        design, space = test_tables._space(seed)
+        outcome = run_sweep(design, space, chunk_size=_all_columnar_chunk(len(space)))
+        if type(outcome.rows) is RowTable:
+            tables += 1
+            joined += outcome.report.chunks == 2
+    assert tables >= 8 and joined >= 3, (tables, joined)
 
 
 # -- whole sweeps --------------------------------------------------------------------
@@ -245,6 +355,66 @@ def test_a_guard_tripped_at_one_point_sends_the_chunk_point_by_point(guard, bad)
     clean = run_sweep(_guarded_design(guard), ParameterSpace([Axis("w", good)]),
                       chunk_size=size)
     assert clean.report.columnar == size and clean.report.errors == 0
+
+
+@pytest.mark.parametrize("equation, bad, error", [
+    ("pow(w, 0.5) * 1m", -2.0, "complex result: -2.0 ^ 0.5"),
+    ("exp(w) * 1m", 1000.0, "exp() failed: math range error")])
+def test_a_function_failing_at_one_point_fails_only_that_point(equation, bad, error):
+    """The function's error is an ``EvaluationError`` over a float and
+    over a column alike: the sweep fails that point, per point and
+    chunked, instead of stopping."""
+    size = COLUMNAR_MIN_POINTS + 2
+    good = tuple(4.0 + i for i in range(size))
+    space = ParameterSpace([Axis("w", good[:5] + (bad,) + good[6:])])
+
+    def design():
+        built = Design("functions")
+        built.scope.set("VDD", 1.5)
+        built.scope.set("w", 8.0)
+        built.add("block", ExpressionPowerModel("block", equation))
+        return built
+
+    reference = run_sweep(design(), space, chunk_size=1)
+    assert [(row["index"], row["error"]) for row in reference.rows if row["error"]] \
+        == [(5, f"row 'block': cannot evaluate model 'block' power ({equation!r}): {error}")]
+    outcome = run_sweep(design(), space, chunk_size=size)
+    assert outcome.rows == reference.rows
+    assert outcome.report.columnar == 0 and outcome.report.errors == 1
+
+
+def test_a_sibling_of_a_failed_area_fails_the_pass_as_an_evaluation_error():
+    """An area model that raises at one point of the chunk leaves no
+    area parameter; a row reading it makes the pass raise a
+    ``PowerPlayError``, so the chunk goes point by point."""
+    design = Design("areas")
+    design.scope.set("VDD", 1.5)
+    design.scope.set("w", 8.0)
+    design.add("block", ModelSet(ExpressionPowerModel("block", "w * 1m"),
+                                 ExpressionAreaModel("block_area", "1n / (w - 3)")))
+    design.add("wires", ExpressionPowerModel("wires", "active_area * 1e3"),
+               area_feeds=["block"])
+    column = np.array([4.0, 3.0, 5.0])
+    with pytest.raises(EvaluationError, match="area parameter"):
+        BatchEvaluator(design, ("power",)).columns({"w": column}, len(column))
+    space = ParameterSpace([Axis("w", tuple(2.0 + i for i in range(COLUMNAR_MIN_POINTS)))])
+    reference = run_sweep(design, space, chunk_size=1)
+    outcome = run_sweep(design, space, chunk_size=COLUMNAR_MIN_POINTS)
+    assert outcome.rows == reference.rows and outcome.report.columnar == 0
+
+
+def test_an_engine_bug_in_the_columnar_pass_propagates(monkeypatch):
+    """Only a ``PowerPlayError`` sends a chunk point by point; any other
+    exception is a bug and stops the sweep."""
+    def broken(self, overrides, count, axes=None):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(BatchEvaluator, "columns", broken)
+    space = ParameterSpace([Axis("VDD", tuple(1.1 + 0.1 * i for i in range(20)))])
+    with pytest.raises(RuntimeError, match="engine bug"):
+        run_sweep(build_figure1_design(), space)
+    assert run_sweep(build_figure1_design(), space,
+                     chunk_size=COLUMNAR_MIN_POINTS - 1).report.errors == 0
 
 
 def test_paper_sweeps_run_entirely_columnar():

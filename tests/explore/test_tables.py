@@ -124,12 +124,12 @@ def _space(seed):
 
 
 def sweep_outcome(design, space, chunk_size):
-    """A sweep's rows as exact bits and its exports; or, where an error
-    that is not a ``PowerPlayError`` (a ``pow()`` with a complex
-    result, say) stopped it at the first point raising it, that error."""
+    """A sweep's rows as exact bits and its exports; or, where an
+    arithmetic error that is not a ``PowerPlayError`` stopped it at the
+    first point raising it, that error."""
     try:
         outcome = run_sweep(design, space, chunk_size=chunk_size)
-    except (ArithmeticError, ValueError, TypeError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         return ("raised", type(exc).__name__, str(exc))
     return ("ok", [row_bits(row) for row in outcome.rows], exports(outcome))
 

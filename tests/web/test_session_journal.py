@@ -88,6 +88,23 @@ class TestFailedEvaluation:
         assert disk(app) == memory(app)
         assert reopened_payload(tmp_path / "state", kind) == memory(app)
 
+    @pytest.mark.parametrize("value", ["(-2) ^ 0.5", "pow(-2, 0.5)"])
+    def test_a_complex_power_is_a_form_error_also_after_a_restart(
+        self, app, kind, tmp_path, value
+    ):
+        """Both spellings fail with ``complex result``: a 422, never a
+        500, for the PLAY and for every later view of the sheet."""
+        view = {"user": USER, "name": "infopad"}
+        response = play(app, **{"g:VDD2": value})
+        assert response.status == 422
+        assert "complex result" in response.body
+        assert app.handle("GET", "/design", view).status == 422
+        restarted = make_app(tmp_path / "state", kind)
+        try:
+            assert restarted.handle("GET", "/design", view).status == 422
+        finally:
+            restarted.state_backend.close()
+
 
 class TestJournal:
     def test_play_appends_one_record_and_keeps_the_snapshot(
