@@ -225,7 +225,6 @@ def _print_outcome(rows, axis_names, objective_names, points, failed,
     ``points`` evaluated points, ``failed`` of which failed."""
     from .explore import export_csv, export_json, pareto_rows, sensitivity_ranking
 
-    rows = list(rows)  # each reader below reads every row
     if failed:
         print(f"warning: {failed} point(s) failed to evaluate")
     primary = objective_names[0] if objective_names else "power"

@@ -595,7 +595,10 @@ def _modulo(left: float, right: float) -> float:
 
 def _power(left: float, right: float) -> float:
     if type(left) is COLUMN or type(right) is COLUMN:
-        return elementwise(_power, left, right)
+        try:  # the interpreter's ** at every point; a complex one fails float64
+            return elementwise(operator.pow, left, right)
+        except (ArithmeticError, TypeError, ValueError):
+            return elementwise(_power, left, right)  # the failing point's error
     try:
         result = left**right
     except (OverflowError, ValueError, ZeroDivisionError) as exc:

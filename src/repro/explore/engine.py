@@ -19,18 +19,16 @@ A chunk of at least :data:`COLUMNAR_MIN_POINTS` points is evaluated in
 one columnar pass (every point's values as float64 columns through the
 compiled plan) and falls back to the per-point loop, the reference,
 wherever that pass raises a :class:`PowerPlayError`; the rows are the
-same either way.  A columnar chunk's rows are a
-:class:`~repro.explore.results.RowTable` over the pass's columns, which
-builds a row dict only when the row is read; a per-point chunk's are a
-list.
+same either way.
 
-A **pruned** chunk keeps only its Pareto-optimal rows, by
-:func:`~repro.explore.results.pareto_rows`: a columnar chunk picks them
-straight from its objective columns and builds row dicts for the
-survivors alone.  Failed points are counted before they are dropped.
-:func:`run_sweep` then folds each chunk's survivors into a running
-:class:`~repro.explore.results.ParetoFront`, so a pruned sweep holds at
-most twice its front plus one chunk, whatever the size of the space.
+A **pruned** chunk keeps only its Pareto-optimal rows.  A columnar
+chunk picks them straight from its objective columns and builds row
+dicts for the survivors alone; a per-point chunk applies
+:func:`~repro.explore.results.pareto_rows` to its rows.  Failed points
+are counted before they are dropped.  :func:`run_sweep` then folds each
+chunk's survivors into a running :class:`~repro.explore.results.ParetoFront`,
+so a pruned sweep holds at most twice its front plus one chunk, whatever
+the size of the space.
 
 ``mode``:
 
@@ -50,11 +48,12 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import itertools
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +63,7 @@ from ..library.designio import design_from_payload, design_to_payload
 from ..obs import annotate, get_logger, get_registry, span
 from .batcheval import BatchEvaluator
 from .jobs import ENGINE_MODES, SweepJob
-from .results import ParetoFront, RowTable, pareto_rows
+from .results import ParetoFront, front_mask, pareto_rows
 from .space import DerivedObjective, ParameterSpace, check_held_points
 
 _LOG = get_logger("explore")
@@ -76,10 +75,8 @@ _CHUNK_BUCKETS = (
 )
 
 #: ``on_chunk(start, stop, rows, seconds, failed)`` — the checkpoint
-#: hook; ``rows`` is a sequence of row dicts (a
-#: :class:`~repro.explore.results.RowTable` or a list), ``failed``
-#: counts the chunk's failed points, rows or not
-ChunkHook = Callable[[int, int, Sequence[dict], float, int], None]
+#: hook; ``failed`` counts the chunk's failed points, rows or not
+ChunkHook = Callable[[int, int, List[dict], float, int], None]
 
 #: the shortest chunk evaluated as columns: below it the columnar pass
 #: costs more than the per-point loop (EXPERIMENTS.md C1)
@@ -142,12 +139,9 @@ class EngineReport:
 
 @dataclass
 class SweepOutcome:
-    """A finished (or pruned) sweep: rows in point order + the report.
+    """A finished (or pruned) sweep: rows in point order + the report."""
 
-    ``rows`` is a :class:`~repro.explore.results.RowTable` when every
-    chunk ran columnar and no row was pruned, else a list."""
-
-    rows: Sequence[dict]
+    rows: List[dict]
     report: EngineReport
     axis_names: List[str] = field(default_factory=list)
     objective_names: List[str] = field(default_factory=list)
@@ -196,16 +190,38 @@ def _point_row(
     return row
 
 
+def _point_dicts(names: List[str], lists: List[list]) -> Iterator[dict]:
+    """One ``name -> value`` dict a point, from one list of values a
+    name.  Up to four names each dict is a dict display, which builds a
+    chunk's rows ~1.7x as fast as ``dict(zip())`` (EXPERIMENTS.md C3);
+    beyond, it is ``dict(zip())`` mapped in C."""
+    if len(names) == 1:
+        (a,) = names
+        return map(lambda w: {a: w}, *lists)
+    if len(names) == 2:
+        a, b = names
+        return map(lambda w, x: {a: w, b: x}, *lists)
+    if len(names) == 3:
+        a, b, c = names
+        return map(lambda w, x, y: {a: w, b: x, c: y}, *lists)
+    if len(names) == 4:
+        a, b, c, d = names
+        return map(lambda w, x, y, z: {a: w, b: x, c: y, d: z}, *lists)
+    return map(dict, map(zip, itertools.repeat(names), zip(*lists)))
+
+
 def _column_rows(
     evaluator: BatchEvaluator,
     space: ParameterSpace,
     derived: Sequence[DerivedObjective],
     indices: range,
-) -> Optional[RowTable]:
+    front: Sequence[str],
+) -> Optional[List[dict]]:
     """The chunk's rows from one columnar pass, equal to
     :func:`_point_row`'s; None where the pass raised a
     :class:`PowerPlayError` (any other exception is a bug and
-    propagates)."""
+    propagates).  With ``front`` (objective names) only the chunk's
+    Pareto-optimal rows are built."""
     count = len(indices)
     try:
         with np.errstate(all="ignore"):
@@ -218,8 +234,27 @@ def _column_rows(
                 objectives[obj.name] = env[obj.name] = obj.column(env, count)
     except PowerPlayError:
         return None
-    return RowTable(np.arange(indices.start, indices.stop), values, overrides,
-                    objectives)
+    if front:
+        keep = np.flatnonzero(front_mask(
+            np.column_stack([objectives[name] for name in front])))
+        indices = [indices[at] for at in keep.tolist()]
+    else:
+        keep = slice(None)
+    # an axis target's override is its axis value: one float, as point() gives
+    listed = {id(column): column[keep].tolist()
+              for columns in (values, overrides, objectives)
+              for column in columns.values()}
+
+    def dicts(columns):
+        return _point_dicts(list(columns),
+                            [listed[id(column)] for column in columns.values()])
+
+    return [
+        {"index": index, "values": point_values, "overrides": point_overrides,
+         "objectives": point_objectives, "error": ""}
+        for index, point_values, point_overrides, point_objectives in zip(
+            indices, dicts(values), dicts(overrides), dicts(objectives))
+    ]
 
 
 def _evaluate_chunk(
@@ -229,7 +264,7 @@ def _evaluate_chunk(
     front: Sequence[str],
     start: int,
     stop: int,
-) -> Tuple[Sequence[dict], float, int, int, int, int]:
+) -> Tuple[List[dict], float, int, int, int, int]:
     """``(rows, seconds, failed points, row hits, row misses, columnar
     points)`` for the chunk ``[start, stop)``; with ``front`` (objective
     names) only its Pareto-optimal rows."""
@@ -238,15 +273,15 @@ def _evaluate_chunk(
     indices = range(start, stop)
     rows = None
     if len(indices) >= COLUMNAR_MIN_POINTS:
-        rows = _column_rows(evaluator, space, derived, indices)
+        rows = _column_rows(evaluator, space, derived, indices, front)
     columnar = failed = 0
     if rows is None:
         rows = [_point_row(evaluator, space, derived, index) for index in indices]
         failed = sum(1 for row in rows if row["error"])
+        if front:
+            rows = pareto_rows(rows, front)
     else:
         columnar = len(indices)
-    if front:
-        rows = pareto_rows(rows, front)
     return (rows, time.perf_counter() - began, failed,
             evaluator.hits - hits0, evaluator.misses - misses0, columnar)
 
@@ -413,7 +448,7 @@ def run_sweep(
     chunk_size: int = 64,
     prune: bool = False,
     should_stop: Optional[Callable[[], bool]] = None,
-    on_chunk: Optional[Callable[[int, int, Sequence[dict], float], None]] = None,
+    on_chunk: Optional[Callable[[int, int, List[dict], float], None]] = None,
 ) -> SweepOutcome:
     """Evaluate the whole space and assemble rows in point order.
 
@@ -423,14 +458,12 @@ def run_sweep(
     ``on_chunk`` sees, only its own front, and the survivors fold into
     a running front, so any space up to the cap may be pruned, while a
     sweep that keeps every row may have at most ``ABSOLUTE_POINT_CAP``
-    points.  The report still counts every evaluated point.  When every
-    chunk ran columnar, the rows are their tables joined
-    (:meth:`RowTable.concat`); otherwise a list.
+    points.  The report still counts every evaluated point.
     """
     check_held_points(space, prune)
     objective_names = list(objectives) + [d.name for d in derived]
     front = ParetoFront(objective_names) if prune else None
-    held: Dict[int, Sequence[dict]] = {}
+    held: Dict[int, List[dict]] = {}
 
     def collect(start, stop, rows, seconds, failed):
         if front is None:
@@ -450,14 +483,10 @@ def run_sweep(
             workers=workers, mode=mode, prune=prune,
             should_stop=should_stop, on_chunk=collect,
         )
-    if front is not None:
-        rows = front.rows
+    if front is None:
+        rows = [row for start in sorted(held) for row in held[start]]
     else:
-        parts = [held[start] for start in sorted(held)]
-        if parts and all(type(part) is RowTable for part in parts):
-            rows = RowTable.concat(parts)
-        else:
-            rows = [row for part in parts for row in part]
+        rows = front.rows
     return SweepOutcome(
         rows=rows,
         report=report,

@@ -239,13 +239,13 @@ class SweepJob:
             record = {**record, "rows": []}
         self.chunks[start] = record
 
-    def record_chunk(self, start: int, stop: int, rows: Sequence[dict],
+    def record_chunk(self, start: int, stop: int, rows: List[dict],
                      seconds: float, failed: int) -> None:
         """Journal one finished chunk (the engine's ``on_chunk`` hook)."""
         record = {
             "start": int(start),
             "stop": int(stop),
-            "rows": list(rows),
+            "rows": rows,
             "seconds": float(seconds),
             "failed": int(failed),
         }

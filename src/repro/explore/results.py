@@ -10,21 +10,14 @@ A result *row* is the engine's serializable point record::
     {"index": 3, "values": {"VDD2": 1.2, "bw": 12.0},
      "overrides": {...}, "objectives": {"power": ..., "delay": ...},
      "error": ""}
-
-A columnar chunk hands its rows over as a :class:`RowTable`: a
-read-only sequence of such rows that keeps the chunk's float64 columns
-and builds a row dict only when the row is read.  :func:`pareto_rows`
-reads a table's objective columns and builds only the front's rows.
-Every function here takes a table or a list of row dicts alike.
 """
 
 from __future__ import annotations
 
-import collections.abc
 import json
 import math
 import operator
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,108 +25,15 @@ from ..core.optimize import pareto_mask
 from ..errors import ExploreError
 
 
-class RowTable(collections.abc.Sequence):
-    """Successful result rows held as the columns of a columnar pass.
-
-    ``indices`` holds each row's point index; ``values``, ``overrides``
-    and ``objectives`` map each name to a float64 column, one element a
-    row (a column may sit in two of them), and none of them is empty.
-    ``t[i]`` builds row ``i`` exactly as the per-point loop gives it and
-    keeps it, so ``t[i] is t[i]``.  Iteration yields the kept rows and
-    builds the others without keeping them, so a reader of every row
-    leaves the table as small as it found it.  A slice is a list of
-    ``t[i]``; ``==`` compares the rows with any sequence of rows.
-    """
-
-    __slots__ = ("_indices", "_parts", "_kept")
-
-    def __init__(self, indices: np.ndarray, values: Mapping[str, np.ndarray],
-                 overrides: Mapping[str, np.ndarray],
-                 objectives: Mapping[str, np.ndarray]):
-        self._indices = indices
-        self._parts = (values, overrides, objectives)
-        self._kept: Dict[int, dict] = {}
-
-    @classmethod
-    def concat(cls, tables: Sequence["RowTable"]) -> "RowTable":
-        """The rows of ``tables`` (alike in names) in order, as one table."""
-        joined: Dict[tuple, np.ndarray] = {}
-
-        def join(columns):
-            key = tuple(map(id, columns))  # a shared column is joined once
-            if key not in joined:
-                joined[key] = np.concatenate(columns)
-            return joined[key]
-
-        parts = [{name: join([table._parts[part][name] for table in tables])
-                  for name in tables[0]._parts[part]} for part in range(3)]
-        return cls(np.concatenate([table._indices for table in tables]), *parts)
-
-    def __len__(self) -> int:
-        return len(self._indices)
-
-    def __getitem__(self, at):
-        if isinstance(at, slice):
-            return [self[position] for position in range(*at.indices(len(self)))]
-        position = operator.index(at)
-        if position < 0:
-            position += len(self)
-        row = self._kept.get(position)
-        if row is None:
-            if not 0 <= position < len(self):
-                raise IndexError("row table index out of range")
-            values, overrides, objectives = (
-                {name: column.item(position) for name, column in part.items()}
-                for part in self._parts)
-            row = self._kept[position] = {
-                "index": self._indices.item(position), "values": values,
-                "overrides": overrides, "objectives": objectives, "error": ""}
-        return row
-
-    def __iter__(self) -> Iterator[dict]:
-        listed: Dict[int, list] = {}
-
-        def points(part):
-            columns = []
-            for column in part.values():
-                if id(column) not in listed:  # a shared column is listed once
-                    listed[id(column)] = column.tolist()
-                columns.append(listed[id(column)])
-            return zip(*columns)
-
-        names = [list(part) for part in self._parts]
-        kept = self._kept
-        for position, (index, values, overrides, objectives) in enumerate(zip(
-                self._indices.tolist(), *map(points, self._parts))):
-            row = kept.get(position)
-            if row is None:
-                row = {"index": index, "values": dict(zip(names[0], values)),
-                       "overrides": dict(zip(names[1], overrides)),
-                       "objectives": dict(zip(names[2], objectives)), "error": ""}
-            yield row
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, collections.abc.Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            mine == theirs for mine, theirs in zip(self, other))
-
-
 def _objective_matrix(
     rows: Sequence[Mapping], objectives: Sequence[str]
 ) -> np.ndarray:
     """The ``(len(rows), len(objectives))`` float array of the rows'
-    objective values; a :class:`RowTable`'s are its columns."""
-    if type(rows) is RowTable:
-        measured = rows._parts[2]
-        for name in objectives:
-            if name not in measured:
-                raise ExploreError(f"row {rows._indices.item(0)} is "
-                                   f"missing objective {name!r}")
-        return np.column_stack([measured[name] for name in objectives])
+    objective values, read one objective at a time."""
     try:
-        flat = [float(row["objectives"][name])
-                for row in rows for name in objectives]
+        measured = list(map(operator.itemgetter("objectives"), rows))
+        columns = [list(map(float, map(operator.itemgetter(name), measured)))
+                   for name in objectives]
     except KeyError:
         for row in rows:
             values = row.get("objectives", {})
@@ -143,7 +43,7 @@ def _objective_matrix(
                         f"row {row.get('index')} is missing objective {name!r}"
                     ) from None
         raise
-    return np.array(flat, dtype=float).reshape(len(rows), len(objectives))
+    return np.array(columns, dtype=float).T
 
 
 def front_mask(vectors: np.ndarray) -> np.ndarray:
@@ -169,14 +69,11 @@ def pareto_rows(
     objective never make the front (:func:`front_mask`).  Ties on the
     full objective vector all survive, matching the designer's
     expectation that equivalent configurations stay visible.  Output
-    preserves point order; a :class:`RowTable`'s front is its own rows.
+    preserves point order.
     """
     if not objectives:
         raise ExploreError("pareto_rows needs at least one objective")
-    if type(rows) is RowTable:  # every row of a table succeeded
-        scored = rows
-    else:
-        scored = [row for row in rows if not row.get("error")]
+    scored = [row for row in rows if not row.get("error")]
     keep = front_mask(_objective_matrix(scored, objectives))
     return [scored[at] for at in np.flatnonzero(keep).tolist()]
 

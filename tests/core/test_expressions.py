@@ -173,15 +173,25 @@ class TestFunctions:
 
     @pytest.mark.parametrize("source, bad", [
         ("exp(x)", 1000.0), ("pow(x, 0.5)", -2.0), ("floor(x)", math.inf),
-        ("round(x)", math.nan)])
+        ("round(x)", math.nan), ("x ^ 0.5", -2.0), ("x ^ 400", 10.0),
+        ("x ^ -1", 0.0), ("2 ^ x", 1e4)])
     def test_a_function_fails_over_a_column_as_over_a_float(self, source, bad):
-        """A column holding one bad point raises the float's error."""
+        """A column holding one bad point raises the float's error, for
+        a function and for ``^`` alike."""
         expression = compile_expression(source)
         with pytest.raises(EvaluationError) as scalar:
             expression.evaluate({"x": bad})
         with pytest.raises(EvaluationError) as column:
             expression.evaluate({"x": np.array([1.0, bad, 2.0])})
         assert str(column.value) == str(scalar.value)
+
+    def test_a_power_over_a_column_is_the_float_power_at_every_point(self):
+        bases = np.array([0.3, 1.0, 2.5, 1e-300, 7.25, 123.0, math.inf, math.nan])
+        for source in ("x ^ 1.3", "x ^ -0.5", "pow(x, 3)", "1.7 ^ x", "x ^ x"):
+            expression = compile_expression(source)
+            points = [expression.evaluate({"x": base}) for base in bases.tolist()]
+            column = expression.evaluate({"x": bases})
+            assert column.tobytes() == np.array(points).tobytes(), source
 
     def test_modulo_of_an_infinite_dividend(self):
         with pytest.raises(EvaluationError, match=r"^modulo error: inf % 1.0$"):

@@ -45,7 +45,6 @@ from repro.explore import (
 )
 from repro.explore.batcheval import BatchEvaluator, resolve_target
 from repro.explore.engine import COLUMNAR_MIN_POINTS, run_chunks, run_job
-from repro.explore.results import RowTable
 from repro.explore.space import CoupledParam
 from repro.library.designio import design_to_payload
 from repro.models.converter import DCDCConverterModel
@@ -145,7 +144,7 @@ def test_the_pass_answers_where_it_can():
     assert eligible >= 40 and answered >= 0.95 * eligible, (answered, eligible)
 
 
-# -- row tables over random designs ------------------------------------------------
+# -- columnar rows over random designs ---------------------------------------------
 
 #: a second objective, so that the sweeps have a front to prune
 FIRST = DerivedObjective("first", "a0")
@@ -167,7 +166,7 @@ def _serializable(design):
 
 def _journal_lines(design, space, chunk_size):
     """The job journal of a sweep run chunk by chunk through
-    ``SweepJob.record_chunk``, and each chunk's row sequence."""
+    ``SweepJob.record_chunk``, and each chunk's ``on_chunk`` arguments."""
     with tempfile.TemporaryDirectory() as root:
         store = JobStore(root)
         job = store.create(design, space, derived=(FIRST,), chunk_size=chunk_size)
@@ -181,11 +180,10 @@ def _journal_lines(design, space, chunk_size):
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1))
-def test_row_tables_are_the_per_point_rows(seed):
-    """A sweep whose chunks all ran columnar hands over a ``RowTable``:
-    every read of it is the per-point loop's rows, its Pareto front is
-    its own rows, iterating keeps nothing, and the journal and the
-    process-mode rows are the per-point ones."""
+def test_columnar_chunks_hand_over_the_per_point_rows(seed):
+    """Chunked sweeps of random designs give the per-point loop's rows,
+    Pareto front and exports, also in process mode, and journal the
+    per-point rows."""
     design, space = test_tables._space(seed)
     try:
         reference = run_sweep(design, space, derived=(FIRST,), chunk_size=1)
@@ -193,54 +191,61 @@ def test_row_tables_are_the_per_point_rows(seed):
         return
     size = _all_columnar_chunk(len(space))
     outcome = run_sweep(design, space, derived=(FIRST,), chunk_size=size)
-    rows, expected = outcome.rows, reference.rows
-    table = type(rows) is RowTable
 
     def exact(sequence):  # key order, float types and bits, NaN as NaN
         return [test_tables.row_bits(row) for row in sequence]
 
-    assert exact(rows) == exact(expected)
-    if table:  # that full iteration kept no row
-        assert outcome.report.columnar == len(space) and not rows._kept
-    # as with lists of dicts, a NaN equals no other NaN object
-    assert (rows == expected) is (expected == rows) is (
-        "NaN" not in json.dumps(expected))
+    assert exact(outcome.rows) == exact(reference.rows)
     names = outcome.objective_names
-    front = pareto_rows(rows, names)
-    assert exact(front) == exact(pareto_rows(expected, names))
-    assert all(row is rows[row["index"]] for row in front)
+    assert exact(pareto_rows(outcome.rows, names)) \
+        == exact(pareto_rows(reference.rows, names))
     assert exports(outcome) == exports(reference)
-    if table:
-        assert rows[0] is rows[0] and rows[-1] is rows[len(rows) - 1]
-        part = rows[1:7:2]
-        assert type(part) is list and exact(part) == exact(expected[1:7:2])
-        assert part[1] is rows[3]
-        kept = dict(rows._kept)
-        listed = list(rows)
-        assert rows._kept.keys() == kept.keys()
-        assert all(listed[at] is row for at, row in kept.items())
     if _serializable(design):
         forked = run_sweep(design, space, derived=(FIRST,), chunk_size=size,
                            mode="process", workers=2)
-        assert exact(forked.rows) == exact(expected)
+        assert exact(forked.rows) == exact(reference.rows)
         lines, chunks = _journal_lines(design, space, size)
         assert lines == [
-            json.dumps({"start": start, "stop": stop, "rows": expected[start:stop],
+            json.dumps({"start": start, "stop": stop,
+                        "rows": reference.rows[start:stop],
                         "seconds": seconds, "failed": failed}, sort_keys=True)
             for start, stop, _rows, seconds, failed in chunks]
 
 
-def test_the_row_table_property_reaches_tables():
-    """Not vacuous: a fair share of the property's sweeps come back as
-    tables, some of them joined from two chunks."""
-    tables = joined = 0
+def test_the_columnar_property_reaches_columnar_sweeps():
+    """Not vacuous: a fair share of the property's sweeps run every
+    chunk columnar, some of them in two chunks."""
+    columnar = joined = 0
     for seed in range(40):
         design, space = test_tables._space(seed)
         outcome = run_sweep(design, space, chunk_size=_all_columnar_chunk(len(space)))
-        if type(outcome.rows) is RowTable:
-            tables += 1
+        if outcome.report.columnar == len(space):
+            columnar += 1
             joined += outcome.report.chunks == 2
-    assert tables >= 8 and joined >= 3, (tables, joined)
+    assert columnar >= 8 and joined >= 3, (columnar, joined)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_rows_of_every_width_are_the_per_point_rows(width):
+    """A point's dicts are dict displays up to four names and
+    ``dict(zip())`` beyond; at every width the values, overrides and
+    objectives are the per-point loop's, key order included."""
+    names = [f"w{i}" for i in range(width)]
+    design = Design("widths")
+    design.scope.set("VDD", 1.5)
+    for name in names:
+        design.scope.set(name, 1.0)
+    design.add("block", ExpressionPowerModel("block", f"({' + '.join(names)}) * 1m"))
+    settings = tuple(1.0 + i for i in range({1: 12, 2: 4}.get(width, 3)))
+    space = ParameterSpace([Axis(name, settings) for name in names])
+    derived = tuple(DerivedObjective(f"d{i}", f"power * {i + 2}") for i in range(width - 1))
+    reference = run_sweep(design, space, derived=derived, chunk_size=1)
+    outcome = run_sweep(design, space, derived=derived, chunk_size=len(space))
+    assert outcome.report.columnar == len(space)
+    assert {len(outcome.rows[0][part]) for part in ("values", "overrides", "objectives")} \
+        == {width}
+    assert [test_tables.row_bits(row) for row in outcome.rows] \
+        == [test_tables.row_bits(row) for row in reference.rows]
 
 
 # -- whole sweeps --------------------------------------------------------------------

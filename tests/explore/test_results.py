@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.errors import ExploreError
@@ -13,7 +12,6 @@ from repro.explore import (
     pareto_rows,
     sensitivity_ranking,
 )
-from repro.explore.results import RowTable
 
 
 def row(index, values, objectives, error=""):
@@ -90,40 +88,6 @@ class TestParetoRows:
         ]
         assert [r["index"] for r in pareto_rows(rows, ("power", "delay"))] \
             == [0, 1]
-
-
-class TestRowTable:
-    @staticmethod
-    def table(first=4):
-        supply = np.array([1.1, 1.2, 1.3])
-        return RowTable(np.arange(first, first + 3), {"VDD": supply},
-                        {"VDD": supply}, {"power": np.array([3.0, 1.0, 2.0])})
-
-    def test_a_row_is_built_once_as_the_engine_builds_it(self):
-        table = self.table()
-        assert table[1] == row(5, {"VDD": 1.2}, {"power": 1.0})
-        assert list(table[1]) == ["index", "values", "overrides", "objectives", "error"]
-        assert type(table[1]["index"]) is int
-        assert type(table[1]["objectives"]["power"]) is float
-        assert table[-2] is table[1]
-        for outside in (3, -4):
-            with pytest.raises(IndexError):
-                table[outside]
-
-    def test_concat_keeps_chunk_order(self):
-        joined = RowTable.concat([self.table(0), self.table(3)])
-        assert [r["index"] for r in joined] == list(range(6))
-        assert [r["values"]["VDD"] for r in joined] == [1.1, 1.2, 1.3] * 2
-
-    def test_the_front_is_the_tables_own_rows(self):
-        table = self.table()
-        (best,) = pareto_rows(table, ("power",))
-        assert best is table[1]
-
-    def test_a_missing_objective_is_named(self):
-        with pytest.raises(ExploreError,
-                           match=r"^row 4 is missing objective 'delay'$"):
-            pareto_rows(self.table(), ("power", "delay"))
 
 
 class TestSensitivity:
