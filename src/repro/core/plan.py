@@ -34,20 +34,22 @@ AST, never ``eval``/``exec``/``compile()`` of text.
 * **Columns.**  :meth:`Plan.columns` evaluates a whole chunk of sweep
   points in one walk: the swept registers hold columns (float64
   arrays), every closure accepts a float or a column, and sums follow
-  :func:`column_sum`.  Given the axes of a product space, a row that
-  reads no feeds and, of the swept registers, only axes runs once over
-  its grid (every setting of those axes, at most one chunk's points)
-  and each chunk takes its points from that table with one gather,
-  for as long as the axes' value arrays stay the same objects.  It
-  raises wherever a point might not match :meth:`Plan.point`, and
-  changes nothing that method reads.
+  :func:`column_sum`.  Given the axes of a product space and its size,
+  a sub-design or a row whose steps read, of the swept registers, only
+  axes runs once over its grid (every setting of those axes), provided
+  that grid holds fewer points than the space; each chunk then takes
+  its points from that table with one gather, for as long as the axes'
+  value arrays stay the same objects.  A table is built in slices of
+  one chunk's points (:func:`tabulate`).  It raises wherever a point
+  might not match :meth:`Plan.point`, and changes nothing that method
+  reads.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,6 +113,44 @@ def column_sum(items: Sequence, compensated: bool = COMPENSATED_SUM):
         total = np.where((compensation != 0) & np.isfinite(compensation),
                          total + compensation, total)
     return total
+
+
+def grid_index(axes: Sequence[Tuple[np.ndarray, np.ndarray]], count: int) -> np.ndarray:
+    """Each of ``count`` points' index in the row-major grid of its
+    axes, each axis given as ``(values, positions)``: the gather that
+    reads a :func:`tabulate` table at those points."""
+    flat = np.zeros(count, dtype=np.intp)
+    for array, positions in axes:
+        flat = flat * len(array) + positions
+    return flat
+
+
+def tabulate(arrays: Sequence[np.ndarray], count: int,
+             evaluate: Callable[[List[np.ndarray]], tuple]) -> tuple:
+    """``evaluate``'s results at every point of the row-major grid of
+    ``arrays`` (every setting of their values), each a column over the
+    grid, or as ``evaluate`` gave it where one call covered the grid.
+
+    ``evaluate`` gets each array's positions at the points of one call,
+    at most ``count`` of them, so a build holds no more than one
+    chunk's columns.
+    """
+    size = math.prod(map(len, arrays))
+    table = None
+    for start in range(0, size, count):
+        point = np.arange(start, min(start + count, size))
+        positions, stride = [], size
+        for array in arrays:
+            stride //= len(array)
+            positions.append(point // stride % len(array))
+        parts = evaluate(positions)
+        if size <= count:
+            return parts
+        if table is None:
+            table = tuple(np.empty(size) for _ in parts)
+        for column, part in zip(table, parts):
+            column[start:start + point.size] = part
+    return table
 
 
 class _RowEnv(Mapping[str, float]):
@@ -478,30 +518,30 @@ class _Leaf(_Step):
 class _Sweep:
     """One :meth:`Plan.columns` call: the chunk's size, its axes
     (register -> ``(values, positions)``), the other swept registers,
-    the tables of its axes' arrays (leaf -> table or None), and the rows
-    served from tables and the rows that varied."""
+    the number of points in the space, the tables of its axes' arrays
+    (step -> table or None), and the rows served from tables and the
+    rows that varied."""
 
-    __slots__ = ("count", "grid", "swept", "tables", "flat", "served", "varying")
+    __slots__ = ("count", "grid", "swept", "space", "tables", "flat", "served",
+                 "varying")
 
-    def __init__(self, count: int, grid: Dict[int, tuple], swept: Sequence[int]):
-        self.count, self.grid, self.swept = count, grid, set(swept)
-        self.tables: Optional[Dict[_Leaf, Optional[tuple]]] = None
+    def __init__(self, count: int, grid: Dict[int, tuple], swept: Sequence[int],
+                 space: int):
+        self.count, self.grid, self.swept, self.space = count, grid, set(swept), space
+        self.tables: Optional[Dict[_Step, Optional[tuple]]] = None
         self.flat: Dict[tuple, np.ndarray] = {}  # axis registers -> grid index
         self.served = self.varying = 0
 
-    def serve(self, axes: Tuple[int, ...], power, area):
+    def serve(self, axes: Tuple[int, ...], rows: int, power, area):
         """A table's ``(power, area parameter)`` at the chunk's points:
         one gather of each column (a float stands for every point)."""
-        self.served += 1
+        self.served += rows
         if type(power) is not COLUMN and type(area) is not COLUMN:
             return power, area
         flat = self.flat.get(axes)
         if flat is None:
-            flat = np.zeros(self.count, dtype=np.intp)
-            for register in axes:
-                array, positions = self.grid[register]
-                flat = flat * len(array) + positions
-            self.flat[axes] = flat
+            flat = self.flat[axes] = grid_index(
+                [self.grid[register] for register in axes], self.count)
         return (power[flat] if type(power) is COLUMN else power,
                 area[flat] if type(area) is COLUMN else area)
 
@@ -531,9 +571,10 @@ class Plan:
         self._overridden: set = set()
         self._cold = True
         self._reported = False  # every power step holds a full pass's output
-        #: step -> the registers it reads (``_readers`` inverted, on first use)
-        self._reading: Optional[Dict[_Step, List[int]]] = None
-        #: (axes key, their arrays, leaf -> table or None): see :meth:`_table`
+        #: step -> the registers its subtree reads (``_readers`` inverted,
+        #: on first use)
+        self._reading: Optional[Dict[_Step, set]] = None
+        #: (axes key, their arrays, step -> table or None): see :meth:`_table`
         self._tables: Optional[tuple] = None
         self.hits = self.misses = 0
 
@@ -950,23 +991,25 @@ class Plan:
 
     def columns(self, writes: Sequence[Tuple[ParameterScope, str, object]],
                 count: int,
-                axes: Sequence[Tuple[ParameterScope, str, object, object]] = ()):
+                axes: Sequence[Tuple[ParameterScope, str, object, object]] = (),
+                space: int = 0):
         """The power total at ``count`` points in one walk of the power
         pass: a column, or one float where nothing read varies.
 
         ``writes`` are validated ``(scope, name, column)`` overrides and
         ``axes`` validated ``(scope, name, values, positions)`` ones, the
-        axes of a product space, whose column is ``values[positions]``;
-        every other slot holds its stored value, as :meth:`point` would
-        restore it.  Each row runs once with columns in its registers,
-        except a row served from a table (see :meth:`_table`).  A column
-        that varies counts a miss at every point; a row that comes out
-        one float counts one miss and ``count - 1`` hits; a table counts
-        a miss at each point of its grid when built and a hit at every
-        point it serves.  Raises, leaving registers, dirty flags and row
-        values as they were, on a fallback row or wherever a closure
-        raised for any point: :meth:`point` then gives each point its
-        own outcome.
+        axes of a product space of ``space`` points, whose column is
+        ``values[positions]``; every other slot holds its stored value,
+        as :meth:`point` would restore it.  Each row runs once with
+        columns in its registers, except the rows of a step served from
+        a table (see :meth:`_table`).  A column that varies counts a
+        miss at every point; a row that comes out one float counts one
+        miss and ``count - 1`` hits; a table counts a miss for each of
+        its rows at each point of its grid when built, and a hit for
+        each of its rows at every point it serves.  Raises, leaving
+        registers, dirty flags and row values as they were, on a
+        fallback row or wherever a closure raised for any point:
+        :meth:`point` then gives each point its own outcome.
         """
         registers = [self.slot(scope, name) for scope, name, _ in writes]
         grid = {self.slot(scope, name): (array, positions)
@@ -979,9 +1022,9 @@ class Plan:
             values[register] = column
         for register, (array, positions) in grid.items():
             values[register] = array[positions]
-        sweep = _Sweep(count, grid, registers)
+        sweep = _Sweep(count, grid, registers, space)
         if grid:
-            key = (frozenset(registers),
+            key = (space, frozenset(registers),
                    tuple((register, id(array)) for register, (array, _) in grid.items()))
             if self._tables is None or self._tables[0] != key:
                 # the arrays ride along so that no other array takes their ids
@@ -1003,60 +1046,82 @@ class Plan:
         tables = sweep.tables
         for index in node.order:
             child = children[index]
-            if isinstance(child, _Node):
-                power[index], area[index] = self._column_power(child, values, sweep)
-                continue
             if tables is not None:
                 if child not in tables:
                     tables[child] = self._table(child, sweep)
                 if tables[child] is not None:
                     power[index], area[index] = sweep.serve(*tables[child])
                     continue
+            if isinstance(child, _Node):
+                power[index], area[index] = self._column_power(child, values, sweep)
+                continue
             power[index], area[index] = self._column_row(child, power, area, values)
             sweep.varying += type(power[index]) is COLUMN
         return column_sum(power), self._check(node, False, values)
 
-    def _table(self, leaf: _Leaf, sweep: "_Sweep"):
-        """The row's table for this sweep's axes: ``(axis registers,
-        power, area parameter)`` at every point of its grid, or None
-        where the row runs per chunk.
+    def _table(self, step: _Step, sweep: "_Sweep"):
+        """The step's table for this sweep's axes: ``(axis registers,
+        rows, power, area parameter)`` at every point of its grid, or
+        None where the step runs per chunk.
 
-        Tabled is a row that reads no feeds and, of the swept registers,
-        only axes, whose lengths multiply to at most the chunk's points
-        (its grid, row-major over the registers in order).  The row runs
-        once over its grid, as :meth:`_column_row`; a grid that raises,
-        or whose area parameter comes out None, leaves the row untabled.
+        Tabled is a sub-design or a row whose steps read, of the swept
+        registers, only axes whose grid (row-major over the registers
+        in order) holds fewer points than the space, so it skips at
+        least one of the space's axes (an axis validated per chunk is
+        one); a row must also read no feeds, while a sub-design's feeds
+        run between its own rows.  The step runs over its grid as a
+        chunk would run it, one chunk's points at a time
+        (:func:`tabulate`): a sub-design's build is a sweep of its own
+        grid, in which its steps that skip one of its axes are tabled
+        for that build alone.  A grid that raises, or a row whose area
+        parameter comes out None, leaves the step untabled, and a
+        sub-design's own steps may then be tabled.
         """
-        if leaf.inputs:
+        leaf = isinstance(step, _Leaf)
+        if leaf and step.inputs:
             return None
-        if self._reading is None:  # ``_readers`` inverted
+        if self._reading is None:  # ``_readers`` inverted over subtrees
             self._reading = {}
             for register, paths in self._readers.items():
                 for path in paths:
-                    self._reading.setdefault(path[-1], []).append(register)
+                    for reader in path:
+                        self._reading.setdefault(reader, set()).add(register)
         axes = []
-        for register in sorted(self._reading.get(leaf, ())):
+        for register in sorted(self._reading.get(step, ())):
             if register in sweep.grid:
                 axes.append(register)
             elif register in sweep.swept:
                 return None  # a coupled target, or an axis validated per chunk
         arrays = [sweep.grid[register][0] for register in axes]
-        size = stride = math.prod(map(len, arrays))
-        if size > sweep.count:
+        size = math.prod(map(len, arrays))
+        if size >= sweep.space:
             return None
-        values = list(self._stored)
-        point = np.arange(size)
-        for register, array in zip(axes, arrays):
-            stride //= len(array)
-            values[register] = array[point // stride % len(array)]
+        tables: Dict[_Step, Optional[tuple]] = {}  # the build's, for its own steps
+
+        def evaluate(positions):
+            values = list(self._stored)
+            for register, array, at in zip(axes, arrays, positions):
+                values[register] = array[at]
+            if not leaf:  # a build is a sweep of the step's own grid
+                build = _Sweep(len(positions[0]) if positions else 1,
+                               dict(zip(axes, zip(arrays, positions))), (), size)
+                build.tables = tables
+                return self._column_power(step, values, build)
+            power, area = self._column_row(step, (), (), values)
+            if area is None:
+                raise EvaluationError("an area parameter failed at some point")
+            return power, area
+
+        misses = self.misses
         try:
-            power, area = self._column_row(leaf, (), (), values)
+            power, area = tabulate(arrays, sweep.count, evaluate)
         except Exception:  # raised again per chunk, in the chunks it concerns
             return None
-        if area is None:
-            return None
-        self.misses += size
-        return tuple(axes), power, area
+        finally:  # the table counts its rows, its steps' tables none
+            self.misses = misses
+        rows = 1 if leaf else step.rows
+        self.misses += size * rows
+        return tuple(axes), rows, power, area
 
     def _column_row(self, leaf: _Leaf, power: List, area: List, values: List):
         """One row's ``(power, area parameter)`` over a chunk, as

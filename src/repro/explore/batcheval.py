@@ -24,11 +24,13 @@ override columns bound to the same slots (see
 :meth:`repro.core.plan.Plan.columns`); where it returns, every point
 equals :meth:`BatchEvaluator.evaluate`'s, bit for bit.  Given a
 product space's axes it validates each axis's values once, and the
-plan serves the rows that read only axes from tables.
+plan serves each sub-design or row that reads, of the swept targets,
+only some of the axes from a table over those axes.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,8 +44,12 @@ from ..errors import ExploreError, ParameterError, PowerPlayError
 BUILTIN_OBJECTIVES = ("power", "area", "delay")
 
 
-def check_objectives(objectives: Sequence[str]) -> None:
-    """Refuse an empty objective list or a name that is not built in."""
+def check_objectives(objectives: Sequence[str], derived: Sequence = (),
+                     axis_names: Sequence[str] = ()) -> None:
+    """Refuse an empty objective list, a name that is not built in, and
+    a derived objective (anything with a ``name``) named as a built-in
+    objective, an axis or an earlier derived objective: its column
+    would replace theirs in every row and export."""
     for objective in objectives:
         if objective not in BUILTIN_OBJECTIVES:
             raise ExploreError(
@@ -52,6 +58,15 @@ def check_objectives(objectives: Sequence[str]) -> None:
             )
     if not objectives:
         raise ExploreError("need at least one objective")
+    taken = dict.fromkeys(BUILTIN_OBJECTIVES, "a built-in objective")
+    taken.update(dict.fromkeys(axis_names, "an axis"))
+    for objective in derived:
+        if objective.name in taken:
+            raise ExploreError(
+                f"derived objective {objective.name!r} has the name of "
+                f"{taken[objective.name]}; give it another name"
+            )
+        taken[objective.name] = "another derived objective"
 
 
 def resolve_target(design: Design, target: str) -> Tuple[ParameterScope, str]:
@@ -208,13 +223,14 @@ class BatchEvaluator:
         """Objective columns at ``count`` points from override columns,
         in one walk of the power pass.
 
-        ``axes`` maps the targets of a product space's axes to
+        ``axes`` maps the targets of every axis of a product space to
         ``(values, positions)`` (:meth:`ParameterSpace.axis_grid`): such
         a target's column is its validated ``values`` gathered at
-        ``positions``, and rows that read only axes may be served from
-        the plan's tables (:meth:`repro.core.plan.Plan.columns`).  An
-        axis with a value ``validate`` refuses is validated per chunk,
-        as every other target is.  Raises where a point might not match
+        ``positions``, and the rows and sub-designs that read fewer of
+        them than all may be served from the plan's tables
+        (:meth:`repro.core.plan.Plan.columns`).  An axis with a value
+        ``validate`` refuses is validated per chunk, as every other
+        target is.  Raises where a point might not match
         :meth:`evaluate` — an ``area`` or ``delay`` objective, a value
         ``validate`` refuses, any failure in the pass — and then has
         changed nothing.
@@ -237,9 +253,10 @@ class BatchEvaluator:
             if structural:
                 pins.append((scope, name))
         plan = self._plan_for(pins)
+        space = math.prod(len(values) for values, _ in axes.values()) if axes else 0
         hits, misses = plan.hits, plan.misses
         try:
-            total = plan.columns(writes, count, grid)
+            total = plan.columns(writes, count, grid, space)
         finally:  # a table built before a failure stays built
             self.hits += plan.hits - hits
             self.misses += plan.misses - misses

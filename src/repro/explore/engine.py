@@ -19,7 +19,10 @@ A chunk of at least :data:`COLUMNAR_MIN_POINTS` points is evaluated in
 one columnar pass (every point's values as float64 columns through the
 compiled plan) and falls back to the per-point loop, the reference,
 wherever that pass raises a :class:`PowerPlayError`; the rows are the
-same either way.
+same either way.  A derived objective that reads only axis values is
+evaluated once over the grid of the axes it reads, as the plan tables
+sub-designs and rows (:meth:`repro.core.plan.Plan.columns`), and each
+chunk gathers its points from that table.
 
 A **pruned** chunk keeps only its Pareto-optimal rows.  A columnar
 chunk picks them straight from its objective columns and builds row
@@ -49,6 +52,7 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import itertools
+import math
 import multiprocessing
 import os
 import time
@@ -58,10 +62,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.design import Design
+from ..core.expressions import CONSTANTS
+from ..core.plan import grid_index, tabulate
 from ..errors import ExploreError, PowerPlayError
 from ..library.designio import design_from_payload, design_to_payload
 from ..obs import annotate, get_logger, get_registry, span
-from .batcheval import BatchEvaluator
+from .batcheval import BatchEvaluator, check_objectives
 from .jobs import ENGINE_MODES, SweepJob
 from .results import ParetoFront, front_mask, pareto_rows
 from .space import DerivedObjective, ParameterSpace, check_held_points
@@ -210,18 +216,54 @@ def _point_dicts(names: List[str], lists: List[list]) -> Iterator[dict]:
     return map(dict, map(zip, itertools.repeat(names), zip(*lists)))
 
 
+def _derived_table(obj: DerivedObjective, env: Dict[str, np.ndarray],
+                   values: Dict[str, np.ndarray], grid: Dict[str, tuple],
+                   count: int, points: int) -> Optional[Tuple[List[str], np.ndarray]]:
+    """``(axis names, column)``: ``obj`` over the grid of the axes it
+    reads, one chunk's points at a time; None where a name it reads does
+    not resolve in ``env`` to an axis's column (of ``values``), where
+    that grid holds as many points as the space, or where the build
+    raises a :class:`PowerPlayError` (then each chunk raises its own)."""
+    axis_of = {id(column): name for name, column in values.items()}
+    reads = {}
+    # a constant's name reads the environment first
+    for name in obj.expression.variables | (env.keys() & CONSTANTS.keys()):
+        if name in env:
+            reads[name] = axis_of.get(id(env[name]))
+            if reads[name] is None:
+                return None
+    axes = [name for name in values if name in reads.values()]
+    arrays = [grid[name][0] for name in axes]
+    if math.prod(map(len, arrays)) >= points:
+        return None
+
+    def evaluate(positions):
+        column_of = {axis: array[at] for axis, array, at in zip(axes, arrays, positions)}
+        size = len(positions[0]) if positions else 1
+        return (obj.column({name: column_of[axis] for name, axis in reads.items()},
+                           size),)
+
+    try:
+        (column,) = tabulate(arrays, count, evaluate)
+    except PowerPlayError:
+        return None
+    return axes, column
+
+
 def _column_rows(
     evaluator: BatchEvaluator,
     space: ParameterSpace,
     derived: Sequence[DerivedObjective],
+    tables: Dict[str, Optional[tuple]],
     indices: range,
     front: Sequence[str],
 ) -> Optional[List[dict]]:
     """The chunk's rows from one columnar pass, equal to
     :func:`_point_row`'s; None where the pass raised a
     :class:`PowerPlayError` (any other exception is a bug and
-    propagates).  With ``front`` (objective names) only the chunk's
-    Pareto-optimal rows are built."""
+    propagates).  ``tables`` holds each derived objective's table (or
+    None) for this space, built on first use.  With ``front``
+    (objective names) only the chunk's Pareto-optimal rows are built."""
     count = len(indices)
     try:
         with np.errstate(all="ignore"):
@@ -231,7 +273,15 @@ def _column_rows(
                 overrides, count, {axis.target: grid[axis.name] for axis in space.axes})
             env = {**values, **overrides, **objectives}
             for obj in derived:
-                objectives[obj.name] = env[obj.name] = obj.column(env, count)
+                if obj.name not in tables:
+                    tables[obj.name] = _derived_table(obj, env, values, grid, count,
+                                                      len(space))
+                table = tables[obj.name]
+                if table is None:
+                    column = obj.column(env, count)
+                else:
+                    column = table[1][grid_index([grid[name] for name in table[0]], count)]
+                objectives[obj.name] = env[obj.name] = column
     except PowerPlayError:
         return None
     if front:
@@ -261,19 +311,21 @@ def _evaluate_chunk(
     evaluator: BatchEvaluator,
     space: ParameterSpace,
     derived: Sequence[DerivedObjective],
+    tables: Dict[str, Optional[tuple]],
     front: Sequence[str],
     start: int,
     stop: int,
 ) -> Tuple[List[dict], float, int, int, int, int]:
     """``(rows, seconds, failed points, row hits, row misses, columnar
-    points)`` for the chunk ``[start, stop)``; with ``front`` (objective
-    names) only its Pareto-optimal rows."""
+    points)`` for the chunk ``[start, stop)``, ``tables`` holding the
+    derived objectives' tables (see :func:`_column_rows`); with
+    ``front`` (objective names) only its Pareto-optimal rows."""
     hits0, misses0 = evaluator.hits, evaluator.misses
     began = time.perf_counter()
     indices = range(start, stop)
     rows = None
     if len(indices) >= COLUMNAR_MIN_POINTS:
-        rows = _column_rows(evaluator, space, derived, indices, front)
+        rows = _column_rows(evaluator, space, derived, tables, indices, front)
     columnar = failed = 0
     if rows is None:
         rows = [_point_row(evaluator, space, derived, index) for index in indices]
@@ -288,9 +340,11 @@ def _evaluate_chunk(
 
 # -- process-mode workers ---------------------------------------------------
 
-# one evaluator per worker process, built once by the pool initializer
+# one evaluator and derived tables per worker process, built once by the
+# pool initializer
 _PROC_STATE: Optional[Tuple[BatchEvaluator, ParameterSpace,
-                            Tuple[DerivedObjective, ...], Tuple[str, ...]]] = None
+                            Tuple[DerivedObjective, ...], dict,
+                            Tuple[str, ...]]] = None
 
 
 def _proc_init(design_payload, space_payload, objectives, derived_payloads,
@@ -302,7 +356,7 @@ def _proc_init(design_payload, space_payload, objectives, derived_payloads,
         DerivedObjective.from_payload(d) for d in derived_payloads
     )
     _PROC_STATE = (BatchEvaluator(design, tuple(objectives)), space, derived,
-                   front)
+                   {}, front)
 
 
 def _proc_chunk(start: int, stop: int):
@@ -354,6 +408,7 @@ def run_chunks(
         )
     objectives = tuple(objectives)
     derived = tuple(derived)
+    check_objectives(objectives, derived, space.axis_names)
     front = (objectives + tuple(d.name for d in derived)) if prune else ()
     chunks = list(chunks)
     if mode == "process":
@@ -376,12 +431,13 @@ def run_chunks(
 
     if workers == 1:
         evaluator = BatchEvaluator(design, objectives)
+        tables: Dict[str, Optional[tuple]] = {}
         for start, stop in chunks:
             if should_stop is not None and should_stop():
                 break
             with span("explore.chunk"):
                 _record(start, stop, *_evaluate_chunk(
-                    evaluator, space, derived, front, start, stop))
+                    evaluator, space, derived, tables, front, start, stop))
     else:
         try:
             context = multiprocessing.get_context("fork")

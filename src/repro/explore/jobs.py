@@ -136,9 +136,9 @@ class SweepJob:
         self.design_payload = design_to_payload(design)
         self.space = space
         self.objectives: Tuple[str, ...] = tuple(objectives)
-        # a new job only: stored jobs load through from_payload unchecked
-        check_objectives(self.objectives)
         self.derived: Tuple[DerivedObjective, ...] = tuple(derived)
+        # a new job only: stored jobs load through from_payload unchecked
+        check_objectives(self.objectives, self.derived, space.axis_names)
         self.workers = max(1, int(workers))
         if mode not in ENGINE_MODES:
             raise JobError(

@@ -53,6 +53,16 @@ def make_space():
     )
 
 
+#: derived objectives whose names collide, and with what
+COLLISIONS = [
+    ((DerivedObjective("power", "VDD * 2"),), "a built-in objective"),
+    ((DerivedObjective("delay", "VDD * 2"),), "a built-in objective"),
+    ((DerivedObjective("t", "VDD * 2"), DerivedObjective("t", "VDD * 3")),
+     "another derived objective"),
+    ((DerivedObjective("VDD", "VDD * 2"),), "an axis"),
+]
+
+
 def outcome_bytes(outcome):
     return export_json(
         outcome.rows, outcome.axis_names, outcome.objective_names
@@ -125,6 +135,23 @@ class TestSweepCorrectness:
         for start, stop, indices, seconds in seen:
             assert indices == list(range(start, stop))
             assert seconds >= 0.0
+
+    @pytest.mark.parametrize("derived,clash", COLLISIONS)
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_a_derived_name_that_collides_is_refused(self, derived, clash, mode):
+        """A derived objective named as a built-in objective, an axis or
+        another derived objective would replace its column."""
+        with pytest.raises(ExploreError, match=f"has the name of {clash}"):
+            run_sweep(make_design(), make_space(), derived=derived, mode=mode,
+                      workers=2)
+
+    @pytest.mark.parametrize("derived,clash", COLLISIONS)
+    def test_a_job_with_a_colliding_derived_name_is_never_stored(
+            self, tmp_path, derived, clash):
+        store = JobStore(tmp_path)
+        with pytest.raises(ExploreError, match=f"has the name of {clash}"):
+            store.create(make_design(), make_space(), derived=derived)
+        assert store.job_ids() == []
 
     @pytest.mark.parametrize("mode", ["thread", "bogus"])
     def test_unknown_mode_refused(self, mode):

@@ -190,6 +190,23 @@ class TestEngineSweep:
         assert not (tmp_path / "jobs").exists() or \
             not list((tmp_path / "jobs").iterdir())
 
+    @pytest.mark.parametrize("derives,clash", [
+        (["power=VDD2 * 2"], "a built-in objective"),
+        (["t=VDD2 * 2", "t=VDD2 * 3"], "another derived objective"),
+        (["VDD2=VDD2 * 2"], "an axis"),
+    ])
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_a_colliding_derived_name_is_refused(self, capsys, tmp_path, derives,
+                                                 clash, stored):
+        derive = [arg for spec in derives for arg in ("--derive", spec)]
+        state = ["--state", str(tmp_path)] if stored else []
+        code, out, err = run(capsys, "sweep", "infopad", "--axis", "VDD2=1.1,1.5",
+                             "--axis", "VDD1=3.3,5.0", *derive, *state)
+        assert code == 2 and f"has the name of {clash}" in err
+        assert "created" not in out
+        assert not (tmp_path / "jobs").exists() or \
+            not list((tmp_path / "jobs").iterdir())
+
     def test_a_pruned_job_may_pass_a_million_points(self, capsys, tmp_path):
         code, out, _err = run(capsys, "sweep", "fig1", *self.MILLION,
                               "--prune", "--chunk-size", "4096",

@@ -91,6 +91,17 @@ class TestValidationNever500:
         if expect:
             assert expect in response.body
 
+    @pytest.mark.parametrize("derive,clash", [
+        ("power=VDD * 2", "a built-in objective"),
+        ("t=VDD * 2\nt=VDD * 3", "another derived objective"),
+        ("VDD=VDD * 2", "an axis"),
+    ])
+    def test_a_colliding_derived_name_is_400_and_no_job(self, app, derive, clash):
+        response = post(app, "/sweep", **{**GOOD_FORM, "derive": derive})
+        assert response.status == 400
+        assert f"has the name of {clash}" in response.body
+        assert app.jobs.job_ids() == []
+
     def test_point_cap_breach_is_400(self, app):
         response = post(
             app, "/sweep", **{

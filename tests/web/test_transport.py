@@ -35,16 +35,26 @@ def get(server, path):
         return reply.status, dict(reply.getheaders()), reply.read()
 
 
+def wait_for_an_idle_thread(server, deadline=10.0):
+    httpd = server._httpd
+    end = time.monotonic() + deadline
+    with httpd._pool_cv:
+        while not httpd._idle and time.monotonic() < end:
+            httpd._pool_cv.wait(0.01)
+        assert httpd._idle, "no handler thread went idle"
+
+
 class TestHandlerThreads:
     def test_sequential_requests_reuse_their_threads(self, tmp_path):
         threads = []
         with recording_server(tmp_path / "state", threads) as server:
             for _ in range(50):
                 assert get(server, "/healthz")[0] == 200
+                # the reply arrives before its thread is idle again; the
+                # next connection goes to that thread once it is
+                wait_for_an_idle_thread(server)
         assert len(threads) == 50
-        # the accept loop may hand a connection over just before the
-        # previous thread is idle again, so allow a second thread
-        assert len(set(threads)) <= 2
+        assert len(set(threads)) == 1
 
     def test_concurrency_stays_unbounded(self, tmp_path):
         application = Application(tmp_path / "state")
@@ -292,17 +302,32 @@ class TestClientResets:
         a structured event, not a traceback on raw stderr, and the
         server keeps serving."""
         memory = MemorySink()
+        application = Application(tmp_path / "state")
+        inner = application.handle
+        arrived, reset = threading.Event(), threading.Event()
+
+        def handle(method, path, form=None, headers=None):
+            if path == "/api/library.json":
+                arrived.set()
+                assert reset.wait(10)  # reply once the client has reset
+            return inner(method, path, form, headers=headers)
+
+        application.handle = handle
         with obs.overridden(enabled=True, log_level=obs.WARNING, sink=memory), \
-                PowerPlayServer(tmp_path / "state") as server:
-            for _ in range(5):
+                PowerPlayServer(tmp_path / "state", application=application) as server:
+            for sent in range(1, 6):
+                arrived.clear()
+                reset.clear()
                 sock = _raw_connection(server)
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                                 struct.pack("ii", 1, 0))  # close sends RST
                 sock.sendall(b"GET /api/library.json HTTP/1.0\r\n\r\n")
+                assert arrived.wait(10)
                 sock.close()
-            deadline = time.monotonic() + 10
-            while len(memory.records) < 5 and time.monotonic() < deadline:
-                time.sleep(0.01)
+                reset.set()
+                deadline = time.monotonic() + 10
+                while len(memory.records) < sent and time.monotonic() < deadline:
+                    time.sleep(0.01)
             assert get(server, "/healthz")[0] == 200
         assert "Traceback" not in capfd.readouterr().err
         assert [(record["component"], record["event"], record["client"])
