@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import DesignError, ModelError
-from ..obs import span
+from ..obs import Span, span
 from .design import Design
 from .parameters import ParameterScope, ParamValue
 
@@ -245,11 +245,12 @@ def evaluate_power(
     """
     with span("evaluate_power", design=design.name) as sp:
         report = _evaluate(design, overrides, plan, lambda plan: plan.power_report())
-        sp.set(
-            rows=report.evaluated_rows,
-            leaves=report.leaf_count,
-            watts=report.power,
-        )
+        if isinstance(sp, Span):  # leaf_count walks the whole report
+            sp.set(
+                rows=report.evaluated_rows,
+                leaves=report.leaf_count,
+                watts=report.power,
+            )
         return report
 
 

@@ -245,8 +245,12 @@ class StructuredLogger:
     def child(self, suffix: str) -> "StructuredLogger":
         return get_logger(f"{self.component}.{suffix}")
 
+    def enabled_for(self, level: int) -> bool:
+        """Would a record at ``level`` be written right now?"""
+        return STATE.enabled and level >= STATE.log_level
+
     def log(self, level: int, event: str, **fields: object) -> None:
-        if not STATE.enabled or level < STATE.log_level:
+        if not self.enabled_for(level):
             return
         record: Dict[str, object] = {
             "ts": _timestamp(),

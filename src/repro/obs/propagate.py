@@ -154,7 +154,7 @@ def extract_context(headers: Optional[Mapping[str, str]]) -> Optional[TraceConte
     if headers is None:
         return None
     value = headers.get(TRACE_HEADER)
-    if value is None:  # http.server's Message and plain dicts both .get
+    if value is None:  # the transport's headers and plain dicts both .get
         return None
     return parse_trace_header(value)
 

@@ -88,9 +88,9 @@ class FileBackend(StateBackend):
         self._layout: Dict[str, str] = dict(
             DEFAULT_LAYOUT if layout is None else layout
         )
-        #: (namespace, key) -> the header of a journal this backend has
-        #: checked against the current snapshot (absent, or extends it)
-        self._headers: Dict[Tuple[str, str], str] = {}
+        #: (namespace, key) -> the path of a journal whose last record
+        #: this backend wrote whole: the next append goes straight on
+        self._appendable: Dict[Tuple[str, str], str] = {}
 
     # -- paths -------------------------------------------------------------
 
@@ -143,7 +143,7 @@ class FileBackend(StateBackend):
         return json.dumps({"extends": digest})
 
     def _drop_journal(self, namespace: str, key: str) -> bool:
-        self._headers.pop((namespace, key), None)
+        self._appendable.pop((namespace, key), None)
         try:
             self.journal_path(namespace, key).unlink()
             return True
@@ -151,23 +151,35 @@ class FileBackend(StateBackend):
             return False
 
     def append(self, namespace: str, key: str, text: str) -> None:
+        """Append one record; see the module docstring for the header.
+
+        Once this backend has written a journal's last record whole,
+        its next append to it only opens, writes, fsyncs and closes —
+        safe because one writer owns each journal (the per-key lock in
+        a process, user sharding across pre-fork workers).  A journal
+        gone since (folded, deleted, quarantined, unlinked), or a write
+        or fsync that raised, sends the append through the checks:
+        header, torn tail, directory fsync on create.
+        """
         if "\n" in text:
             raise StateError("a journal record must be a single line")
         ref = (namespace, key)
+        known = self._appendable.pop(ref, None)
+        if known is not None:
+            try:
+                fsio.append_whole_line(known, text)
+            except FileNotFoundError:
+                pass
+            else:
+                self._appendable[ref] = known
+                return
         path = self.journal_path(namespace, key)
-        header = self._headers.get(ref)
-        if header is None:
-            header = self._header(namespace, key)
-            lines, _torn = fsio.read_lines(path)
-            if lines and lines[0] != header.encode("utf-8"):
-                path.unlink()  # stale: extends a snapshot since replaced
-            self._headers[ref] = header
-        try:
-            fsio.append_line(path, text, header=header)
-        except BaseException:
-            # re-check the file before the next append
-            self._headers.pop(ref, None)
-            raise
+        header = self._header(namespace, key)
+        lines, _torn = fsio.read_lines(path)
+        if lines and lines[0] != header.encode("utf-8"):
+            path.unlink()  # stale: extends a snapshot since replaced
+        fsio.append_line(path, text, header=header)
+        self._appendable[ref] = str(path)
 
     def journal(self, namespace: str, key: str) -> List[str]:
         lines, torn = fsio.read_lines(self.journal_path(namespace, key))
@@ -185,7 +197,6 @@ class FileBackend(StateBackend):
                 ignored_records=len(lines) - 1,
             )
             return []
-        self._headers[(namespace, key)] = header
         try:
             return [line.decode("utf-8") for line in lines[1:]]
         except UnicodeDecodeError as exc:
@@ -207,7 +218,7 @@ class FileBackend(StateBackend):
             return None
 
     def quarantine(self, namespace: str, key: str, reason: str) -> str:
-        self._headers.pop((namespace, key), None)
+        self._appendable.pop((namespace, key), None)
         moved = []
         for path in (
             self.doc_path(namespace, key), self.journal_path(namespace, key)

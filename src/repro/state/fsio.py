@@ -140,15 +140,34 @@ def append_line(
             os.ftruncate(fd, kept)
             size = kept
         text = f"{header}\n{line}\n" if header and not size else f"{line}\n"
-        data = memoryview(text.encode("utf-8"))
-        while data:
-            data = data[os.write(fd, data):]
-        if fsync:
-            os.fsync(fd)
+        _write(fd, text, fsync)
     finally:
         os.close(fd)
     if fsync and not size:
         fsync_dir(path.parent)
+
+
+def append_whole_line(path: str, line: str) -> None:
+    """Append one record to a journal known to end with a whole line.
+
+    One open (no ``O_CREAT``: an absent journal raises
+    ``FileNotFoundError``), one write and one fsync — none of
+    :func:`append_line`'s header or torn-tail checks, which the caller
+    vouches for.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        _write(fd, f"{line}\n", True)
+    finally:
+        os.close(fd)
+
+
+def _write(fd: int, text: str, fsync: bool) -> None:
+    data = memoryview(text.encode("utf-8"))
+    while data:
+        data = data[os.write(fd, data):]
+    if fsync:
+        os.fsync(fd)
 
 
 def read_lines(path: Path) -> Tuple[List[bytes], bool]:

@@ -97,15 +97,24 @@ class SQLiteBackend(StateBackend):
         self._connections_guard = threading.Lock()
         self._closed = False
         # open (and migrate) eagerly so a broken database fails the
-        # constructor, not the first request handler
-        try:
-            connection = self._connection()
-            connection.executescript(_SCHEMA)
-            connection.commit()
-        except sqlite3.Error as exc:
-            raise StateError(
-                f"cannot open SQLite state at {self.db_path}: {exc}"
-            ) from exc
+        # constructor, not the first request handler.  While others open
+        # a fresh database too, its switch to WAL can answer "locked" at
+        # once, not through the busy handler: wait that out here, within
+        # the busy timeout
+        deadline = time.monotonic() + busy_timeout_s
+        while True:
+            try:
+                connection = self._connection()
+                connection.executescript(_SCHEMA)
+                connection.commit()
+                break
+            except sqlite3.Error as exc:
+                if "locked" in str(exc) and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                    continue
+                raise StateError(
+                    f"cannot open SQLite state at {self.db_path}: {exc}"
+                ) from exc
 
     # -- connections -------------------------------------------------------
 
@@ -131,11 +140,15 @@ class SQLiteBackend(StateBackend):
                 isolation_level=None,  # explicit transactions only
                 check_same_thread=False,
             )
-            connection.execute("PRAGMA journal_mode=WAL")
-            connection.execute("PRAGMA synchronous=FULL")
-            connection.execute(
-                f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}"
-            )
+            try:
+                connection.execute("PRAGMA journal_mode=WAL")
+                connection.execute("PRAGMA synchronous=FULL")
+                connection.execute(
+                    f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}"
+                )
+            except BaseException:
+                connection.close()
+                raise
             self._local.connection = connection
             with self._connections_guard:
                 self._connections[threading.current_thread()] = connection

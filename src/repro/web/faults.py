@@ -265,12 +265,11 @@ class _ChaosHandler(_Handler):
 
     fault_plan: FaultPlan  # injected via PowerPlayServer(handler_attrs=...)
 
-    def _sever(self) -> None:
-        """Hard-kill the connection (shutdown works regardless of the
-        rfile/wfile refcounts still pinning the descriptor open)."""
-        self.close_connection = True
+    def _sever(self, data: bytes = b"") -> None:
+        """Send ``data``, then hard-kill the connection."""
         try:
-            self.connection.shutdown(socket.SHUT_RDWR)
+            self.request.sendall(data)
+            self.request.shutdown(socket.SHUT_RDWR)
         except OSError:  # pragma: no cover - already gone
             pass
 
@@ -284,39 +283,28 @@ class _ChaosHandler(_Handler):
             # flapping host's down phase looks exactly like a refusal)
             self._sever()
             return
+        body = response.body.encode("utf-8")
         if kind == "reset_mid_body":
             # headers WITHOUT Content-Length, then a partial body and a
             # clean FIN: connection-close framing makes the truncated
             # bytes read as a complete response.  The transport cannot
             # detect this — the artifact digest must.
-            body = response.body.encode("utf-8")
-            self.send_response(response.status)
-            self.send_header("Content-Type", response.content_type)
-            self.end_headers()
-            self.wfile.write(body[: max(1, 2 * len(body) // 3)])
-            try:
-                self.wfile.flush()
-            except OSError:  # pragma: no cover
-                pass
-            self._sever()
+            self._sever(
+                self._head(response.status, response.content_type, None, {})
+                + body[: max(1, 2 * len(body) // 3)]
+            )
+            return
+        if kind == "disconnect":
+            # status line + headers promise a body that never arrives
+            self._sever(
+                self._head(response.status, response.content_type,
+                           len(body), {})
+                + body[: max(1, len(body) // 3)]
+            )
             return
         if kind == "latency":
             time.sleep(self.fault_plan.latency)
             super()._send(response)
-            return
-        if kind == "disconnect":
-            # status line + headers promise a body that never arrives
-            body = response.body.encode("utf-8")
-            self.send_response(response.status)
-            self.send_header("Content-Type", response.content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body[: max(1, len(body) // 3)])
-            try:
-                self.wfile.flush()
-            except OSError:  # pragma: no cover
-                pass
-            self._sever()
             return
         super()._send(_mangle(response, kind))
 

@@ -1,8 +1,8 @@
 """HTTP transport for the PowerPlay application.
 
-Wraps :class:`~repro.web.app.Application` in a threading
-``http.server`` — the modern stand-in for the paper's Perl-CGI-behind-
-httpd deployment.  "Since PowerPlay is local to one server, it can be
+Wraps :class:`~repro.web.app.Application` in a threaded HTTP/1.0
+server — the modern stand-in for the paper's Perl-CGI-behind-httpd
+deployment.  "Since PowerPlay is local to one server, it can be
 accessed by any machine on the web" — here, by anything that can reach
 the bound address.
 
@@ -16,25 +16,43 @@ the bound address.
 from __future__ import annotations
 
 import collections
+import email.utils
+import html
 import ipaddress
 import itertools
+import re
 import socket
+import socketserver
 import sys
 import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http import HTTPStatus
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from ..obs import get_logger
+from ..obs import INFO, get_logger
 from ..obs.propagate import REQUEST_HEADER
 from .app import Application, Response
 
 #: transport-level request-ID fallback — responses the application never
-#: sees (403 gate refusals, malformed POSTs, last-resort 500s) still get
-#: an ``X-PowerPlay-Request`` so every response is log-correlatable
+#: sees (403 gate refusals, malformed requests, last-resort 500s) still
+#: get an ``X-PowerPlay-Request`` so every response is log-correlatable
 _transport_request_ids = itertools.count(1)
+
+#: the longest request or header line, its line end included, and the
+#: most lines after the request line, the blank one that ends the head
+#: included — the limits ``http.server`` enforced
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+#: a header name as ``email`` read one (printable ASCII but space and
+#: colon); a line that is not a header ends the headers
+_FIELD_NAME = re.compile(r"[!-9;-~]*")
+
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+#: the ``Server`` value ``http.server`` sent, kept on the wire
+_SERVER = f"BaseHTTP/0.6 Python/{sys.version.split()[0]}"
 
 
 def host_allowed(client_ip: str, allowed: Optional[Sequence[str]]) -> bool:
@@ -67,18 +85,63 @@ def _error_html(status: int, title: str, message: str) -> str:
     """A small, traceback-free error page (transport-level failures)."""
     return (
         "<html><head><title>PowerPlay — error</title></head><body>"
-        f"<h1>{status} {title}</h1><p>{message}</p>"
+        f"<h1>{status} {title}</h1><p>{html.escape(message)}</p>"
         '<p><a href="/">PowerPlay front page</a></p></body></html>'
     )
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Adapts HTTP requests to Application.handle calls.
+class _Headers(dict):
+    """A request's headers by lower-cased name.  :meth:`get` matches a
+    name in any case, and the first of a repeated header wins, as
+    ``email.message.Message.get`` did."""
 
-    Transport hardening lives here: request bodies are size-limited,
-    malformed ``Content-Length`` headers and non-UTF-8 bodies yield a
-    400 page, and an unexpected application exception yields a 500 HTML
-    page — a browser (or attacker) never sees a Python traceback.
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+    @classmethod
+    def parse(cls, head: bytes) -> "_Headers":
+        headers = cls()
+        name = None  # the header a folded line continues
+        for raw in head.splitlines():
+            line = raw.decode("iso-8859-1")
+            if line[:1] in (" ", "\t"):
+                if name is not None:
+                    headers[name] += " " + line.strip(" \t")
+                continue
+            field, colon, value = line.partition(":")
+            if not colon or not _FIELD_NAME.fullmatch(field):
+                break
+            name = field.lower()
+            if name in headers:
+                name = None
+            else:
+                headers[name] = value.lstrip(" \t")
+        return headers
+
+
+class _Refusal(Exception):
+    """A request the transport answers itself, with ``status``."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+class _Handler(socketserver.BaseRequestHandler):
+    """Reads one request per connection and answers it, as HTTP/1.0,
+    with one ``sendall``.
+
+    The request line and headers come out of one ``recv``-filled
+    buffer, the body follows by ``Content-Length``, and the reply's
+    head and body leave together.  Transport hardening lives here: a
+    line over 65,536 bytes is refused (414 for the request line, 431
+    for a header), and so are more than 99 header lines (431); a
+    malformed version gets 400, 2.0 and above 505, and methods other
+    than GET and POST 501.  Request bodies are size-limited (413, sent
+    without reading the body), malformed ``Content-Length`` headers and
+    non-UTF-8 bodies yield a 400 page, and an unexpected application
+    exception yields a 500 HTML page — a browser (or attacker) never
+    sees a Python traceback.
     """
 
     application: Application  # injected by the server factory
@@ -92,68 +155,177 @@ class _Handler(BaseHTTPRequestHandler):
     #: :attr:`PowerPlayServer.drain_deadline`, so a stalled request
     #: cannot outlast the drain
     timeout: float = 3.0
-    #: the response leaves in one send when head and body fit this
-    #: buffer (flushed once per request); a larger body streams
-    wbufsize: int = 1 << 16
 
-    #: transport-level log lines (http.server's per-request and error
-    #: chatter) go through the structured logger, not raw stderr.  The
-    #: default observability state is disabled with a no-op sink, so
-    #: tests stay quiet; ``repro --log-level info serve`` surfaces them.
+    #: transport-level log lines (one per reply, and timeouts) go
+    #: through the structured logger, not raw stderr.  The default
+    #: observability state is disabled with a no-op sink, so tests stay
+    #: quiet; ``repro --log-level info serve`` surfaces them.
     _httpd_log = get_logger("web.httpd")
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        self._httpd_log.info(
-            "httpd",
-            client=self.client_address[0],
-            message=format % args,
-        )
+    #: the request, as far as it has been read
+    requestline = ""
+    command = ""
+    path = ""
+    headers: Mapping[str, str] = _Headers()
+    #: a two-word GET: its reply is the body alone
+    http09 = False
 
-    #: set once the request line has arrived: from then until
-    #: :meth:`finish` the connection counts as in flight
-    _in_flight = False
-
-    def parse_request(self) -> bool:
-        self._in_flight = True
-        self.server.request_started()
-        return super().parse_request()
-
-    def finish(self) -> None:
+    def handle(self) -> None:
+        self.request.settimeout(self.timeout)
+        self._buffer, self._offset = b"", 0
         try:
-            super().finish()
-        except OSError:
-            pass  # the client is gone; its response cannot be delivered
-        finally:
-            if self._in_flight:
-                self.server.request_finished()
+            line = self._readline()
+            if len(line) > _MAX_LINE:
+                self._refuse(_Refusal(414, "Request-URI Too Long"))
+            elif line:
+                # from its request line until its reply is sent, the
+                # connection counts as in flight (an idle one does not)
+                self.server.request_started()
+                try:
+                    self._serve(line)
+                finally:
+                    self.server.request_finished()
+        except TimeoutError:
+            self._log("Request timed out")
+
+    def _serve(self, line: bytes) -> None:
+        self.requestline = line.decode("iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return
+        try:
+            self._parse_request_line(words)
+            self.headers = self._read_headers()
+            if self.command not in ("GET", "POST"):
+                raise _Refusal(501, f"Unsupported method ({self.command!r})")
+            if not host_allowed(self.client_address[0], self.allowed_hosts):
+                raise _Refusal(403, "This PowerPlay server is restricted "
+                                    "to specific machines.")
+            form = self._read_form() if self.command == "POST" else None
+        except _Refusal as refusal:
+            self._refuse(refusal)
+            return
+        self._send(self._handle_safely(self.command, form))
+
+    def _parse_request_line(self, words: List[str]) -> None:
+        """Method, path and version, checked as ``http.server`` did."""
+        if len(words) >= 3:
+            version = words[-1]
+            number = version[5:].split(".")
+            if (not version.startswith("HTTP/") or len(number) != 2
+                    or not all(part.isdecimal() for part in number)
+                    or any(len(part) > 10 for part in number)):
+                raise _Refusal(400, f"Bad request version ({version!r})")
+            if int(number[0]) >= 2:
+                raise _Refusal(505, f"Invalid HTTP version ({version[5:]})")
+        if not 2 <= len(words) <= 3:
+            raise _Refusal(400, f"Bad request syntax ({self.requestline!r})")
+        self.command, self.path = words[0], words[1]
+        if len(words) == 2:
+            if self.command != "GET":
+                raise _Refusal(
+                    400, f"Bad HTTP/0.9 request type ({self.command!r})")
+            self.http09 = True
+        if self.path.startswith("//"):
+            # clients read a leading // as a scheme-less absolute URI:
+            # reduce it to one / (the open-redirect guard)
+            self.path = "/" + self.path.lstrip("/")
+
+    def _readline(self) -> bytes:
+        """The next line with its ``\\n``, cut one byte past
+        :data:`_MAX_LINE` (the caller refuses a longer one), or what is
+        left when the client stops sending."""
+        limit = _MAX_LINE + 1
+        while True:
+            buffer, start = self._buffer, self._offset
+            end = buffer.find(b"\n", start, start + limit)
+            if end >= 0:
+                self._offset = end + 1
+                return buffer[start:end + 1]
+            if len(buffer) - start >= limit:
+                self._offset = start + limit
+                return buffer[start:start + limit]
+            chunk = self.request.recv(65536)
+            if not chunk:
+                self._offset = len(buffer)
+                return buffer[start:]
+            self._buffer, self._offset = buffer[start:] + chunk, 0
+
+    def _read_headers(self) -> _Headers:
+        lines = []
+        while True:
+            line = self._readline()
+            if len(line) > _MAX_LINE:
+                raise _Refusal(431, "Line too long")
+            lines.append(line)
+            if len(lines) > _MAX_HEADERS:
+                raise _Refusal(431, "Too many headers")
+            if line in (b"\r\n", b"\n", b""):
+                return _Headers.parse(b"".join(lines))
+
+    def _read_body(self, length: int) -> bytes:
+        """Up to ``length`` body bytes: fewer when the client stops."""
+        start = self._offset
+        chunks = [self._buffer[start:start + length]]
+        self._offset = start + len(chunks[0])
+        missing = length - len(chunks[0])
+        while missing > 0:
+            chunk = self.request.recv(min(missing, 65536))
+            if not chunk:
+                break
+            chunks.append(chunk)
+            missing -= len(chunk)
+        return b"".join(chunks)
+
+    # -- replies -----------------------------------------------------------
+
+    @staticmethod
+    def _head(
+        status: int,
+        content_type: str,
+        length: Optional[int],
+        headers: Mapping[str, str],
+    ) -> bytes:
+        """A reply's status line and headers (``Content-Length`` left
+        out when ``length`` is None), through the blank line."""
+        lines = [
+            f"HTTP/1.0 {status} {_REASONS.get(status, '')}",
+            f"Server: {_SERVER}",
+            f"Date: {email.utils.formatdate(usegmt=True)}",
+            f"Content-Type: {content_type}",
+        ]
+        if length is not None:
+            lines.append(f"Content-Length: {length}")
+        lines.extend(f"{key}: {value}" for key, value in headers.items())
+        lines.append("\r\n")
+        return "\r\n".join(lines).encode("latin-1")
 
     def _send(self, response: Response) -> None:
         response.headers.setdefault(
             REQUEST_HEADER, f"req-t{next(_transport_request_ids):08x}"
         )
         body = response.body.encode("utf-8")
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for key, value in response.headers.items():
-            self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if not self.http09:
+            head = self._head(response.status, response.content_type,
+                              len(body), response.headers)
+            body = head if self.command == "HEAD" else head + body
+        self.request.sendall(body)
+        if self._httpd_log.enabled_for(INFO):
+            self._log(f'"{self.requestline}" {response.status} -')
 
-    def _gate(self) -> bool:
-        if host_allowed(self.client_address[0], self.allowed_hosts):
-            return True
-        self._send(
-            Response(
-                status=403,
-                body=_error_html(
-                    403,
-                    "Forbidden",
-                    "This PowerPlay server is restricted to specific machines.",
-                ),
-            )
+    def _refuse(self, refusal: _Refusal) -> None:
+        status = refusal.status
+        self._send(Response(
+            status=status,
+            body=_error_html(status, _REASONS[status], str(refusal)),
+        ))
+
+    def _log(self, message: str) -> None:
+        self._httpd_log.info(
+            "httpd", client=self.client_address[0], message=message
         )
-        return False
+
+    # -- the application ---------------------------------------------------
 
     def _handle_safely(self, method: str, form=None) -> Response:
         try:
@@ -172,67 +344,31 @@ class _Handler(BaseHTTPRequestHandler):
                 ),
             )
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if not self._gate():
-            return
-        self._send(self._handle_safely("GET"))
-
-    def _read_form(self) -> Tuple[Optional[dict], Optional[Response]]:
-        """Parse the POST body, or produce the 4xx that explains why not."""
+    def _read_form(self) -> dict:
+        """The POST body's form, or the 4xx that explains why not."""
         header = self.headers.get("Content-Length", "0")
         try:
             length = int(header)
         except ValueError:
-            return None, Response(
-                status=400,
-                body=_error_html(
-                    400, "Bad request",
-                    f"unparseable Content-Length header {header!r}",
-                ),
-            )
+            raise _Refusal(
+                400, f"unparseable Content-Length header {header!r}"
+            ) from None
         if length < 0:
-            return None, Response(
-                status=400,
-                body=_error_html(
-                    400, "Bad request", "negative Content-Length"
-                ),
-            )
+            raise _Refusal(400, "negative Content-Length")
         if length > self.max_body_bytes:
-            return None, Response(
-                status=413,
-                body=_error_html(
-                    413, "Payload too large",
-                    f"request body of {length} bytes exceeds the "
-                    f"{self.max_body_bytes} byte limit",
-                ),
+            raise _Refusal(
+                413, f"request body of {length} bytes exceeds the "
+                f"{self.max_body_bytes} byte limit"
             )
         try:
-            raw = self.rfile.read(length).decode("utf-8") if length else ""
+            raw = self._read_body(length).decode("utf-8") if length else ""
         except UnicodeDecodeError:
-            return None, Response(
-                status=400,
-                body=_error_html(
-                    400, "Bad request", "request body is not valid UTF-8"
-                ),
-            )
-        form = {
-            key: values[-1]
-            for key, values in urllib.parse.parse_qs(raw).items()
-        }
-        return form, None
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if not self._gate():
-            return
-        form, refusal = self._read_form()
-        if refusal is not None:
-            self._send(refusal)
-            return
-        self._send(self._handle_safely("POST", form))
+            raise _Refusal(400, "request body is not valid UTF-8") from None
+        return dict(urllib.parse.parse_qsl(raw))
 
 
-class _SoakFriendlyHTTPServer(HTTPServer):
-    """An HTTP server whose handler threads outlive their connections.
+class _SoakFriendlyHTTPServer(socketserver.TCPServer):
+    """A TCP server whose handler threads outlive their connections.
 
     Each accepted connection goes to an idle handler thread; a new
     daemon thread starts only when none is idle, so concurrency stays
@@ -252,6 +388,7 @@ class _SoakFriendlyHTTPServer(HTTPServer):
     one — a browser preconnect — does not hold the drain.
     """
 
+    allow_reuse_address = True
     #: seconds an idle handler thread waits for a connection, then exits
     idle_thread_s: float = 30.0
 

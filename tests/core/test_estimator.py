@@ -97,6 +97,30 @@ class TestPowerEvaluation:
         with pytest.raises(ModelError, match="'bad'"):
             evaluate_power(design)
 
+    def test_untraced_evaluation_does_not_count_leaves(self, monkeypatch):
+        from repro.core.estimator import PowerReport
+
+        def walk(self):
+            raise AssertionError("leaf_count read with tracing off")
+
+        monkeypatch.setattr(PowerReport, "leaf_count", property(walk))
+        assert evaluate_power(nested_design()).power > 0
+
+    def test_traced_evaluation_records_rows_and_leaves(self):
+        from repro import obs
+        from repro.obs.propagate import TraceContext
+
+        # under a caller's context, so no local trace id is minted
+        context = TraceContext("ab" * 16, "1")
+        with obs.overridden(enabled=True):
+            with obs.traced("caller", context):
+                report = evaluate_power(nested_design())
+            root = obs.last_trace().children[0]
+        assert root.name == "evaluate_power"
+        assert root.attributes["leaves"] == 3
+        assert root.attributes["rows"] == report.evaluated_rows
+        assert root.attributes["watts"] == report.power
+
     def test_report_parameters_snapshot(self):
         report = evaluate_power(nested_design())
         assert report["z"].parameters["bitwidth"] == 16.0

@@ -566,6 +566,31 @@ class TestSQLiteSpecifics:
         first.close()
         second.close()
 
+    def test_concurrent_opens_of_a_fresh_database_all_succeed(
+        self, tmp_path
+    ):
+        """Four workers starting on one fresh state directory at once:
+        the switch to WAL can report "locked" without waiting in the
+        busy handler, and no open may fail for it."""
+        failures = []
+        for trial in range(200):
+            root = tmp_path / f"trial{trial}"
+            start = threading.Barrier(4)
+
+            def open_one():
+                start.wait()
+                try:
+                    SQLiteBackend(root).close()
+                except StateError as exc:
+                    failures.append(str(exc))
+
+            threads = [threading.Thread(target=open_one) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert failures == []
+
     def test_unknown_backend_kind_rejected(self, tmp_path):
         with pytest.raises(StateError, match="unknown state backend"):
             open_backend("redis", tmp_path)
